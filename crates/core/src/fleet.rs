@@ -737,7 +737,7 @@ impl FleetSupervisor {
     /// back into the registry. Chaos (when configured) is injected here.
     pub fn run_epoch(&mut self) {
         let _span = tel::span("fleet.epoch");
-        let t0 = tel::enabled().then(std::time::Instant::now);
+        let _timer = tel::timed(&FLEET_EPOCH_NS);
         self.fleet_epoch += 1;
         let epoch = self.fleet_epoch;
         let plan = self.plan_epoch();
@@ -752,9 +752,6 @@ impl FleetSupervisor {
                 Plan::Shallow(k) => run_device_epoch(rec, epoch, Some(k), &config, flight),
             }
         });
-        if let Some(t0) = t0 {
-            FLEET_EPOCH_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
     }
 
     /// Runs up to `max_epochs` fleet epochs (until done, or until the

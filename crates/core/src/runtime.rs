@@ -26,9 +26,9 @@
 //! device as a weight-space [`Network`] (byte-identical to the historical
 //! behaviour), while the `analog` and `bitsliced` backends keep it as
 //! live crossbar state — drift ages the conductance planes directly,
-//! stuck cells freeze physical cells via
-//! [`healthmon_reram::AnalogBackend::stick_cell`], and repairs reprogram
-//! layers through the crossbar write path.
+//! stuck cells freeze physical cells via [`ActiveBackend::stick_cell`],
+//! and repairs reprogram layers through the crossbar write path. Every
+//! backend runs the same code path: the device is one [`ActiveBackend`].
 //!
 //! Everything is a pure function of the inputs: the per-epoch RNG is
 //! derived as `SeededRng::new(seed).fork(epoch)`, so a checkpoint needs
@@ -41,18 +41,18 @@ use crate::diagnose::{diagnose, Diagnosis};
 use crate::error::HealthmonError;
 use crate::monitor::{Checkup, HealthMonitor, HealthState, MonitorPolicy, MonitorSnapshot};
 use crate::patterns::TestPatternSet;
-use healthmon_faults::{sample_cell_arrivals, FaultModel};
+use healthmon_faults::sample_cell_arrivals;
 use healthmon_nn::{InferenceBackend, Network};
 use healthmon_repair::{
     remap_rows, repair_with_spares, retrain_with_faults, DefectMap, FaultyRetrainConfig, StuckCell,
 };
 use healthmon_reram::{
-    deploy, AnalogBackend, BackendKind, BackendSpec, BitSlicedBackend, CrossbarConfig,
-    ParityCheck, ScrubOutcome,
+    deploy, ActiveBackend, BackendKind, BackendSpec, CrossbarConfig, ParityCheck,
 };
 use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
 use healthmon_tensor::{SeededRng, Tensor};
 use healthmon_telemetry as tel;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 // The lifetime is a pure function of (config, golden, patterns), so the
@@ -651,80 +651,6 @@ impl FromJson for LayerState {
     }
 }
 
-/// The deployed device: a weight-space digital simulation (the
-/// historical, byte-identical path) or live analog crossbar state.
-#[derive(Debug, Clone)]
-enum DeviceState {
-    Digital(Network),
-    // 'static: the runtime owns its device outright — the backends are
-    // severed from the deploy-time network via `into_owned`.
-    Analog(AnalogBackend<'static>),
-    BitSliced(BitSlicedBackend<'static>),
-}
-
-impl DeviceState {
-    /// The programmed network image. For analog variants this carries the
-    /// structure, biases and last-written digital weights; conductance-
-    /// level aging is only visible through [`DeviceState::readback`].
-    fn network(&self) -> &Network {
-        match self {
-            DeviceState::Digital(net) => net,
-            DeviceState::Analog(b) => b.network(),
-            DeviceState::BitSliced(b) => b.network(),
-        }
-    }
-
-    /// Effective weights as the device actually computes them.
-    fn readback(&self) -> Network {
-        match self {
-            DeviceState::Digital(net) => net.clone(),
-            DeviceState::Analog(b) => b.readback(),
-            DeviceState::BitSliced(b) => b.readback(),
-        }
-    }
-
-    fn is_digital(&self) -> bool {
-        matches!(self, DeviceState::Digital(_))
-    }
-
-    fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-        match self {
-            DeviceState::Digital(net) => FaultModel::Drift { nu, time }.apply(net, rng),
-            DeviceState::Analog(b) => b.drift(nu, time, rng),
-            DeviceState::BitSliced(b) => b.drift(nu, time, rng),
-        }
-    }
-
-    fn soft_errors(&mut self, probability: f64, rng: &mut SeededRng) {
-        match self {
-            DeviceState::Digital(net) => {
-                FaultModel::RandomSoftError { probability }.apply(net, rng);
-            }
-            // The analog image of random soft errors is read-disturb
-            // noise: lognormal conductance jitter driven by the same
-            // per-epoch probability knob.
-            DeviceState::Analog(b) => b.disturb(probability as f32, rng),
-            DeviceState::BitSliced(b) => b.disturb(probability as f32, rng),
-        }
-    }
-
-    fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
-        match self {
-            DeviceState::Digital(_) => unreachable!("digital defects are clamped, not stuck"),
-            DeviceState::Analog(b) => b.stick_cell(key, row, col, weight),
-            DeviceState::BitSliced(b) => b.stick_cell(key, row, col, weight),
-        }
-    }
-
-    fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
-        match self {
-            DeviceState::Digital(_) => unreachable!("digital repairs write the network directly"),
-            DeviceState::Analog(b) => b.write_layer(key, weights, rng),
-            DeviceState::BitSliced(b) => b.write_layer(key, weights, rng),
-        }
-    }
-}
-
 /// The closed-loop lifetime simulation: see the module docs.
 #[derive(Debug, Clone)]
 pub struct LifetimeRuntime {
@@ -733,13 +659,11 @@ pub struct LifetimeRuntime {
     patterns: TestPatternSet,
     full_detector: Detector,
     train: Option<TrainData>,
-    device: DeviceState,
+    // 'static: the runtime owns its device outright — crossbar backends
+    // are severed from the deploy-time network via `into_owned`.
+    device: ActiveBackend<'static>,
     monitor: HealthMonitor,
     layers: Vec<LayerState>,
-    /// Digital parity planes, one per conductance-mapped weight tensor
-    /// (analog backends keep parity on the crossbar tiles instead).
-    /// Empty unless the config is hardened.
-    parity: Vec<(String, ParityCheck)>,
     soft_corrected: usize,
     soft_uncorrectable: usize,
     epoch: usize,
@@ -804,24 +728,20 @@ impl LifetimeRuntime {
         let golden = golden.clone();
         let full_detector = Detector::new(&golden, patterns.clone());
         let mut deploy_rng = SeededRng::new(config.seed).fork(0);
-        let (device, tiles, mapping_error_l1) = match config.backend.kind {
+        // The one place the lifetime picks a backend kind: the digital
+        // device is the read-back deployment, crossbars keep live state.
+        let (device, report) = match config.backend.kind {
             BackendKind::Digital => {
                 let (net, report) = deploy(&golden, &config.crossbar, &mut deploy_rng);
-                (DeviceState::Digital(net), report.total_tiles(), report.total_error_l1())
+                (ActiveBackend::Digital { net: Cow::Owned(net), parity: Vec::new() }, report)
             }
-            BackendKind::Analog => {
-                let backend =
-                    AnalogBackend::program(&golden, &config.backend, &mut deploy_rng).into_owned();
-                let report = backend.deploy_report(patterns.images());
-                (DeviceState::Analog(backend), report.total_tiles(), report.total_error_l1())
-            }
-            BackendKind::BitSliced => {
-                let backend = BitSlicedBackend::program(&golden, &config.backend, &mut deploy_rng)
-                    .into_owned();
-                let report = backend.deploy_report(patterns.images());
-                (DeviceState::BitSliced(backend), report.total_tiles(), report.total_error_l1())
+            BackendKind::Analog | BackendKind::BitSliced => {
+                let device = config.backend.instantiate(&golden, &mut deploy_rng).into_owned();
+                let report = device.deploy_report(patterns.images());
+                (device, report)
             }
         };
+        let (tiles, mapping_error_l1) = (report.total_tiles(), report.total_error_l1());
         let layers = golden
             .state_dict()
             .into_iter()
@@ -844,7 +764,6 @@ impl LifetimeRuntime {
             device,
             monitor,
             layers,
-            parity: Vec::new(),
             soft_corrected: 0,
             soft_uncorrectable: 0,
             epoch: 0,
@@ -861,7 +780,7 @@ impl LifetimeRuntime {
         };
         if runtime.config.hardened {
             // Program the spare-column parity alongside the weights.
-            runtime.enable_parity();
+            runtime.device.enable_parity();
         }
         runtime.push_event(LifetimeEvent::Deployed { tiles, mapping_error_l1 });
         let baseline = runtime.run_checkup();
@@ -1064,11 +983,9 @@ impl LifetimeRuntime {
         assert!(!self.is_finished(), "lifetime runtime already finished");
         let epoch = self.epoch + 1;
         let _epoch_span = tel::span("lifetime.epoch");
-        let t0 = tel::enabled().then(std::time::Instant::now);
+        let timer = tel::timed(&EPOCH_NS);
         let outcome = catch_unwind(AssertUnwindSafe(|| self.epoch_body(epoch)));
-        if let Some(t0) = t0 {
-            EPOCH_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        drop(timer);
         self.epoch = epoch;
         if let Err(payload) = outcome {
             let message = panic_message(payload);
@@ -1125,15 +1042,9 @@ impl LifetimeRuntime {
                 .expect("step_shallow clamps the depth into 1..=len");
             self.monitor.set_detector(detector);
         }
-        let t0 = tel::enabled().then(std::time::Instant::now);
-        let checkup = match &self.device {
-            DeviceState::Digital(net) => self.monitor.check(net),
-            DeviceState::Analog(b) => self.monitor.check(b),
-            DeviceState::BitSliced(b) => self.monitor.check(b),
-        };
-        if let Some(t0) = t0 {
-            PHASE_DETECTOR_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        let timer = tel::timed(&PHASE_DETECTOR_NS);
+        let checkup = self.monitor.check(&self.device);
+        drop(timer);
         if shallow.is_some() {
             let detector = if self.active_patterns < self.patterns.len() {
                 self.full_detector
@@ -1176,9 +1087,9 @@ impl LifetimeRuntime {
             if self.config.hardened {
                 // Re-baseline the parity first: drift is genuine aging,
                 // not a transient, and must never be "corrected" away.
-                self.refresh_parity();
-                self.inject_transient_flips(aging.soft_error_p, &mut rng);
-                let outcome = self.scrub_parity();
+                self.device.refresh_parity();
+                self.device.transient_flips(aging.soft_error_p, &mut rng);
+                let outcome = self.device.scrub_parity();
                 self.soft_corrected += outcome.corrected;
                 self.soft_uncorrectable += outcome.uncorrectable;
                 if outcome.any() {
@@ -1194,10 +1105,10 @@ impl LifetimeRuntime {
         }
         let mut new_stuck = 0usize;
         if aging.stuck_lambda > 0.0 {
-            let weights: Vec<Tensor> =
+            let weights: Vec<&Tensor> =
                 self.layers.iter().map(|l| golden_param(&self.golden, &l.key)).collect();
-            let total_cells: usize = weights.iter().map(Tensor::len).sum();
-            for (li, (layer, w)) in self.layers.iter_mut().zip(&weights).enumerate() {
+            let total_cells: usize = weights.iter().map(|w| w.len()).sum();
+            for (li, (layer, w)) in self.layers.iter_mut().zip(weights).enumerate() {
                 let (rows, cols) = (w.shape()[0], w.shape()[1]);
                 let lambda = aging.stuck_lambda * (rows * cols) as f64 / total_cells as f64;
                 let mut rng = epoch_rng.fork(2 + li as u64);
@@ -1230,7 +1141,7 @@ impl LifetimeRuntime {
             // Stuck cells are known persistent defects owned by the
             // checkup/repair path; fold them into the parity baseline so
             // the next scrub never mistakes them for transients.
-            self.refresh_parity();
+            self.device.refresh_parity();
         }
         self.push_event(LifetimeEvent::Aged {
             epoch,
@@ -1239,114 +1150,20 @@ impl LifetimeRuntime {
         });
     }
 
-    /// Programs the parity checksums over the current device state:
-    /// weight-tensor planes for the digital backend, crossbar tiles for
-    /// the analog ones.
-    fn enable_parity(&mut self) {
-        match &mut self.device {
-            DeviceState::Digital(net) => {
-                let mut parity = Vec::new();
-                net.for_each_param(|key, tensor| {
-                    if key.ends_with("weight") {
-                        let rows = tensor.shape()[0];
-                        let cols = tensor.len() / rows;
-                        parity.push((
-                            key.to_owned(),
-                            ParityCheck::capture(rows, cols, tensor.as_slice()),
-                        ));
-                    }
-                });
-                self.parity = parity;
-            }
-            DeviceState::Analog(b) => b.enable_parity(),
-            DeviceState::BitSliced(b) => b.enable_parity(),
-        }
-    }
-
-    /// Re-baselines every parity checksum to the current device state.
-    fn refresh_parity(&mut self) {
-        let parity = &mut self.parity;
-        match &mut self.device {
-            DeviceState::Digital(net) => net.for_each_param(|key, tensor| {
-                if let Some((_, check)) = parity.iter_mut().find(|(k, _)| k == key) {
-                    check.refresh(tensor.as_slice());
-                }
-            }),
-            DeviceState::Analog(b) => b.refresh_parity(),
-            DeviceState::BitSliced(b) => b.refresh_parity(),
-        }
-    }
-
-    /// One in-situ parity scrub over the whole device.
-    fn scrub_parity(&mut self) -> ScrubOutcome {
-        let parity = &self.parity;
-        let mut outcome = ScrubOutcome::default();
-        match &mut self.device {
-            DeviceState::Digital(net) => net.for_each_param_mut(|key, tensor| {
-                if let Some((_, check)) = parity.iter().find(|(k, _)| k == key) {
-                    outcome.merge(check.scrub(tensor.as_mut_slice()));
-                }
-            }),
-            DeviceState::Analog(b) => outcome = b.scrub_parity(),
-            DeviceState::BitSliced(b) => outcome = b.scrub_parity(),
-        }
-        outcome
-    }
-
-    /// Hardened-mode soft errors. The digital backend keeps the exact
-    /// weight-space `RandomSoftError` stream of the unhardened runtime;
-    /// the analog backends inject sparse conductance flips — the
-    /// device-level image of the same fault class — instead of dense
-    /// read-disturb jitter, which no parity column could isolate.
-    fn inject_transient_flips(&mut self, probability: f64, rng: &mut SeededRng) {
-        match &mut self.device {
-            DeviceState::Digital(net) => {
-                FaultModel::RandomSoftError { probability }.apply(net, rng);
-            }
-            DeviceState::Analog(b) => {
-                b.flip_cells(probability, rng);
-            }
-            DeviceState::BitSliced(b) => {
-                b.flip_cells(probability, rng);
-            }
-        }
-    }
-
-    /// Overrides the device weights at every stuck position (under the
-    /// current row assignments): a stuck cell reads its frozen value no
-    /// matter what drift or a repair wrote there.
+    /// Freezes the device at every stuck position (under the current row
+    /// assignments): a stuck cell reads its frozen value no matter what
+    /// drift or a repair wrote there. The defect rows are physical; the
+    /// device addresses cells through the digital (logical) layout, so
+    /// the row assignment is inverted exactly like
+    /// `DefectMap::apply_with_assignment`.
     fn clamp_defects(&mut self) {
-        let layers = &self.layers;
-        match &mut self.device {
-            DeviceState::Digital(net) => net.for_each_param_mut(|key, tensor| {
-                if let Some(layer) = layers.iter().find(|l| l.key == key) {
-                    if !layer.map.is_empty() {
-                        *tensor = layer.map.apply_with_assignment(tensor, &layer.assignment);
-                    }
-                }
-            }),
-            device => {
-                // Freeze the physical cells on the live crossbars. The
-                // defect rows are physical; the backend addresses cells
-                // through the digital (logical) layout, so invert the
-                // row assignment exactly like `apply_with_assignment`.
-                for layer in layers {
-                    if layer.map.is_empty() {
-                        continue;
-                    }
-                    let mut logical_of = vec![0usize; layer.assignment.len()];
-                    for (logical, &physical) in layer.assignment.iter().enumerate() {
-                        logical_of[physical] = logical;
-                    }
-                    for cell in layer.map.cells() {
-                        device.stick_cell(
-                            &layer.key,
-                            logical_of[cell.row],
-                            cell.col,
-                            cell.value,
-                        );
-                    }
-                }
+        for layer in &self.layers {
+            if layer.map.is_empty() {
+                continue;
+            }
+            let logical_of = logical_rows(&layer.assignment);
+            for cell in layer.map.cells() {
+                self.device.stick_cell(&layer.key, logical_of[cell.row], cell.col, cell.value);
             }
         }
     }
@@ -1357,15 +1174,9 @@ impl LifetimeRuntime {
     /// budget parks the runtime.
     fn repair_session(&mut self, epoch: usize) {
         let _span = tel::span("lifetime.repair_session");
-        let t0 = tel::enabled().then(std::time::Instant::now);
-        let diagnosis = match &self.device {
-            DeviceState::Digital(net) => diagnose(self.monitor.detector(), &self.golden, net),
-            DeviceState::Analog(b) => diagnose(self.monitor.detector(), &self.golden, b),
-            DeviceState::BitSliced(b) => diagnose(self.monitor.detector(), &self.golden, b),
-        };
-        if let Some(t0) = t0 {
-            PHASE_DIAGNOSE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        let timer = tel::timed(&PHASE_DIAGNOSE_NS);
+        let diagnosis = diagnose(self.monitor.detector(), &self.golden, &self.device);
+        drop(timer);
         if let Some(prime) = diagnosis.prime_suspect() {
             self.push_event(LifetimeEvent::Diagnosed { epoch, suspect: prime.key.clone() });
         }
@@ -1392,20 +1203,18 @@ impl LifetimeRuntime {
                 continue;
             }
             self.repairs_used += 1;
-            let t0 = tel::enabled().then(std::time::Instant::now);
+            let timer = tel::timed(&PHASE_REPAIR_NS);
             match action {
                 RepairAction::Reprogram => self.reprogram(),
                 RepairAction::Spares => self.consume_spares(&diagnosis),
                 RepairAction::Retrain => self.retrain(epoch),
                 RepairAction::Degrade => self.degrade(epoch),
             }
-            if let Some(t0) = t0 {
-                PHASE_REPAIR_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
+            drop(timer);
             if self.config.hardened {
                 // Repairs rewrite conductances; re-baseline the parity so
                 // the next scrub protects the repaired state.
-                self.refresh_parity();
+                self.device.refresh_parity();
             }
             let checkup = self.run_checkup();
             let success = checkup.state < self.config.trigger;
@@ -1436,50 +1245,33 @@ impl LifetimeRuntime {
         }
     }
 
-    /// Rung 1: rewrite every conductance-mapped layer from the golden
-    /// copy through the crossbar write path, parking known stuck cells
-    /// via fault-aware row remapping.
+    /// The write-noise stream of the current repair attempt.
+    fn repair_rng(&self) -> SeededRng {
+        SeededRng::new(self.config.seed ^ REPROGRAM_SALT).fork(self.repairs_used as u64)
+    }
+
+    /// Rung 1: reprogram the device from the golden copy, parking known
+    /// stuck cells via fault-aware row remapping, then re-freeze the
+    /// surviving physical defects.
     fn reprogram(&mut self) {
-        let mut rng =
-            SeededRng::new(self.config.seed ^ REPROGRAM_SALT).fork(self.repairs_used as u64);
-        if self.device.is_digital() {
-            let (mut fresh, _) = deploy(&self.golden, &self.config.crossbar, &mut rng);
-            let layers = &mut self.layers;
-            fresh.for_each_param_mut(|key, tensor| {
-                if let Some(layer) = layers.iter_mut().find(|l| l.key == key) {
-                    if layer.map.is_empty() {
-                        layer.assignment = (0..tensor.shape()[0]).collect();
-                    } else {
-                        let remap = remap_rows(tensor, &layer.map);
-                        layer.assignment = remap.assignment;
-                        *tensor = remap.repaired_weights;
-                    }
-                }
-            });
-            self.device = DeviceState::Digital(fresh);
-        } else {
-            // Live-crossbar path: rewrite every mapped layer from the
-            // golden weights through the crossbar write path, then
-            // re-freeze the surviving physical defects.
-            for li in 0..self.layers.len() {
-                let key = self.layers[li].key.clone();
-                let golden_w = golden_param(&self.golden, &key);
-                let tensor = if self.layers[li].map.is_empty() {
-                    self.layers[li].assignment = (0..golden_w.shape()[0]).collect();
-                    golden_w
-                } else {
-                    let remap = remap_rows(&golden_w, &self.layers[li].map);
-                    self.layers[li].assignment = remap.assignment;
-                    remap.repaired_weights
-                };
-                self.device.write_layer(&key, &tensor, &mut rng);
-            }
-            self.clamp_defects();
-        }
+        let mut rng = self.repair_rng();
+        let layers = &mut self.layers;
+        self.device.reprogram(&self.golden, &self.config.crossbar, &mut rng, |key, weights| {
+            let layer = layers.iter_mut().find(|l| l.key == key)?;
+            Some(if layer.map.is_empty() {
+                layer.assignment = (0..weights.shape()[0]).collect();
+                weights.clone()
+            } else {
+                let remap = remap_rows(weights, &layer.map);
+                layer.assignment = remap.assignment;
+                remap.repaired_weights
+            })
+        });
+        self.clamp_defects();
     }
 
     /// Rung 2: substitute spare bit lines on the most suspect defective
-    /// layer, then reprogram that layer with a fresh remap over the
+    /// layer, then rewrite that layer with a fresh remap over the
     /// surviving defects.
     fn consume_spares(&mut self, diagnosis: &Diagnosis) {
         let has_work = |l: &LayerState| l.spares_left > 0 && !l.map.is_empty();
@@ -1493,7 +1285,7 @@ impl LifetimeRuntime {
         let Some(key) = target else { return };
         let golden_w = golden_param(&self.golden, &key);
         let layer = self.layers.iter_mut().find(|l| l.key == key).expect("target layer exists");
-        let spare = repair_with_spares(&golden_w, &layer.map, layer.spares_left);
+        let spare = repair_with_spares(golden_w, &layer.map, layer.spares_left);
         layer.spares_left -= spare.replaced_columns.len();
         let surviving: Vec<StuckCell> = layer
             .map
@@ -1503,24 +1295,11 @@ impl LifetimeRuntime {
             .filter(|c| !spare.replaced_columns.contains(&c.col))
             .collect();
         layer.map = DefectMap::new(surviving);
-        let remap = remap_rows(&golden_w, &layer.map);
+        let remap = remap_rows(golden_w, &layer.map);
         layer.assignment = remap.assignment;
-        let repaired = remap.repaired_weights;
-        match &mut self.device {
-            DeviceState::Digital(net) => net.for_each_param_mut(|k, tensor| {
-                if k == key {
-                    *tensor = repaired.clone();
-                }
-            }),
-            device => {
-                let mut rng = SeededRng::new(self.config.seed ^ REPROGRAM_SALT)
-                    .fork(self.repairs_used as u64);
-                device.write_layer(&key, &repaired, &mut rng);
-            }
-        }
-        if !self.device.is_digital() {
-            self.clamp_defects();
-        }
+        let mut rng = self.repair_rng();
+        self.device.write_layer(&key, &remap.repaired_weights, &mut rng);
+        self.clamp_defects();
     }
 
     /// Rung 3: fault-aware retraining around the stuck cells (in logical
@@ -1532,10 +1311,7 @@ impl LifetimeRuntime {
             .iter()
             .filter(|l| !l.map.is_empty())
             .map(|l| {
-                let mut logical_of = vec![0usize; l.assignment.len()];
-                for (logical, &physical) in l.assignment.iter().enumerate() {
-                    logical_of[physical] = logical;
-                }
+                let logical_of = logical_rows(&l.assignment);
                 let cells = l
                     .map
                     .cells()
@@ -1557,36 +1333,11 @@ impl LifetimeRuntime {
                 .wrapping_add(self.repairs_used as u64),
             ..self.config.retrain
         };
-        match &mut self.device {
-            DeviceState::Digital(net) => {
-                retrain_with_faults(net, &defect_layers, &train.images, &train.labels, config);
-            }
-            device => {
-                // Retrain digitally on the read-back effective weights,
-                // then write the conductance-mapped layers back through
-                // the crossbar write path. (Bias updates stay cloud-side:
-                // only mapped parameters have a crossbar write path.)
-                let mut snapshot = device.readback();
-                retrain_with_faults(
-                    &mut snapshot,
-                    &defect_layers,
-                    &train.images,
-                    &train.labels,
-                    config,
-                );
-                let mut rng = SeededRng::new(self.config.seed ^ REPROGRAM_SALT)
-                    .fork(self.repairs_used as u64);
-                let dict = snapshot.state_dict();
-                for layer in &self.layers {
-                    if let Some((_, tensor)) = dict.iter().find(|(k, _)| *k == layer.key) {
-                        device.write_layer(&layer.key, tensor, &mut rng);
-                    }
-                }
-            }
-        }
-        if !self.device.is_digital() {
-            self.clamp_defects();
-        }
+        let mut rng = self.repair_rng();
+        self.device.retrain(&mut rng, |net| {
+            retrain_with_faults(net, &defect_layers, &train.images, &train.labels, config);
+        });
+        self.clamp_defects();
     }
 
     /// Rung 4: graceful degradation — halve the concurrent-test pattern
@@ -1710,7 +1461,8 @@ impl LifetimeRuntime {
             // Hardened-only fields keep unhardened checkpoints
             // byte-identical to the v1 layout. The parity words are
             // digest-guarded like every other resume input.
-            let parity: Vec<Json> = self.parity.iter().map(parity_entry_json).collect();
+            let planes = self.device.parity_planes();
+            let parity: Vec<Json> = planes.iter().map(parity_entry_json).collect();
             fields.push(("hardened".to_owned(), true.to_json()));
             fields.push(("soft_corrected".to_owned(), self.soft_corrected.to_json()));
             fields.push((
@@ -1720,7 +1472,7 @@ impl LifetimeRuntime {
             fields.push(("parity".to_owned(), Json::Array(parity)));
             fields.push((
                 "parity_digest".to_owned(),
-                Json::String(parity_digest(&self.parity).to_string()),
+                Json::String(parity_digest(planes).to_string()),
             ));
         }
         healthmon_serdes::to_string(&Json::Object(fields))
@@ -1781,12 +1533,11 @@ impl LifetimeRuntime {
         )?;
 
         let dict: Vec<(String, Tensor)> = Vec::from_json(value.field("device")?)?;
-        let DeviceState::Digital(device_net) = &mut runtime.device else {
-            unreachable!("non-digital resume was rejected above")
-        };
+        let mut device_net = runtime.golden.clone();
         device_net
             .load_state_dict(&dict)
             .map_err(|e| HealthmonError::CheckpointMismatch(e.to_string()))?;
+        let mut parity = Vec::new();
 
         let layers: Vec<LayerState> = Vec::from_json(value.field("layers")?)?;
         if layers.len() != runtime.layers.len()
@@ -1847,27 +1598,21 @@ impl LifetimeRuntime {
             runtime.soft_corrected = usize::from_json(value.field("soft_corrected")?)?;
             runtime.soft_uncorrectable =
                 usize::from_json(value.field("soft_uncorrectable")?)?;
-            let parity: Vec<(String, ParityCheck)> = value
+            parity = value
                 .field("parity")?
                 .as_array()?
                 .iter()
                 .map(parity_entry_from_json)
-                .collect::<Result<_, _>>()?;
+                .collect::<Result<Vec<_>, _>>()?;
             verify_digest(&value, "parity_digest", parity_digest(&parity), "parity state")?;
             // The checkpoint is taken at an epoch boundary, where the
             // parity baseline always matches the device: a stored word
             // that disagrees with the restored weights means either the
             // weights or the parity were tampered with.
             for (key, check) in &parity {
-                let mut current = None;
-                runtime.device.network().for_each_param(|k, t| {
-                    if k == key {
-                        current = Some(t.clone());
-                    }
-                });
                 let (rows, cols) = check.shape();
-                let consistent = current
-                    .as_ref()
+                let consistent = device_net
+                    .param(key)
                     .is_some_and(|t| t.len() == rows * cols && check.verify(t.as_slice()));
                 if !consistent {
                     return Err(HealthmonError::CheckpointMismatch(format!(
@@ -1876,8 +1621,8 @@ impl LifetimeRuntime {
                     )));
                 }
             }
-            runtime.parity = parity;
         }
+        runtime.device = ActiveBackend::Digital { net: Cow::Owned(device_net), parity };
         Ok(runtime)
     }
 }
@@ -1903,14 +1648,17 @@ pub(crate) fn verify_digest(
     Ok(())
 }
 
-fn golden_param(net: &Network, key: &str) -> Tensor {
-    let mut found = None;
-    net.for_each_param(|k, t| {
-        if k == key {
-            found = Some(t.clone());
-        }
-    });
-    found.unwrap_or_else(|| panic!("golden parameter `{key}` exists"))
+fn golden_param<'n>(net: &'n Network, key: &str) -> &'n Tensor {
+    net.param(key).unwrap_or_else(|| panic!("golden parameter `{key}` exists"))
+}
+
+/// Inverts a logical→physical row assignment.
+fn logical_rows(assignment: &[usize]) -> Vec<usize> {
+    let mut logical_of = vec![0usize; assignment.len()];
+    for (logical, &physical) in assignment.iter().enumerate() {
+        logical_of[physical] = logical;
+    }
+    logical_of
 }
 
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -2474,7 +2222,7 @@ mod tests {
         runtime.run(Some(2));
         let checkpoint = runtime.checkpoint_json();
 
-        let digest = parity_digest(&runtime.parity).to_string();
+        let digest = parity_digest(runtime.device.parity_planes()).to_string();
         let tampered = checkpoint.replace(&digest, "12345");
         assert_ne!(tampered, checkpoint, "the digest must appear in the checkpoint");
         let err =

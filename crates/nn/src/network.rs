@@ -155,18 +155,7 @@ impl Network {
     ///
     /// Panics if the input shape does not match `[N, ...input_shape]`.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert!(
-            input.ndim() == self.input_shape.len() + 1
-                && input.shape()[1..] == self.input_shape[..],
-            "network expects [N, {:?}] input, got {:?}",
-            self.input_shape,
-            input.shape()
-        );
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
+        self.forward_walk(input, false).expect("an unchecked walk never fails")
     }
 
     /// Forward pass that checks every layer output for non-finite values.
@@ -186,24 +175,7 @@ impl Network {
     ///
     /// Panics if the input shape does not match `[N, ...input_shape]`.
     pub fn forward_checked(&mut self, input: &Tensor) -> Result<Tensor, NonFiniteActivation> {
-        assert!(
-            input.ndim() == self.input_shape.len() + 1
-                && input.shape()[1..] == self.input_shape[..],
-            "network expects [N, {:?}] input, got {:?}",
-            self.input_shape,
-            input.shape()
-        );
-        if !input.all_finite() {
-            return Err(NonFiniteActivation { layer: usize::MAX });
-        }
-        let mut x = input.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            x = layer.forward(&x);
-            if !x.all_finite() {
-                return Err(NonFiniteActivation { layer: i });
-            }
-        }
-        Ok(x)
+        self.forward_walk(input, true)
     }
 
     /// Inference pass through `&self`: evaluation-mode forward with no
@@ -230,18 +202,7 @@ impl Network {
     ///
     /// Panics if the input shape does not match `[N, ...input_shape]`.
     pub fn infer_with(&self, input: &Tensor, engine: &dyn MatmulEngine) -> Tensor {
-        assert!(
-            input.ndim() == self.input_shape.len() + 1
-                && input.shape()[1..] == self.input_shape[..],
-            "network expects [N, {:?}] input, got {:?}",
-            self.input_shape,
-            input.shape()
-        );
-        let mut x = input.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.infer(&x, &format!("layer{i}"), engine);
-        }
-        x
+        self.infer_walk(input, engine, false).expect("an unchecked walk never fails")
     }
 
     /// [`Network::infer`] with per-layer non-finite checking, mirroring
@@ -274,24 +235,32 @@ impl Network {
         input: &Tensor,
         engine: &dyn MatmulEngine,
     ) -> Result<Tensor, NonFiniteActivation> {
-        assert!(
-            input.ndim() == self.input_shape.len() + 1
-                && input.shape()[1..] == self.input_shape[..],
-            "network expects [N, {:?}] input, got {:?}",
-            self.input_shape,
-            input.shape()
-        );
-        if !input.all_finite() {
-            return Err(NonFiniteActivation { layer: usize::MAX });
-        }
-        let mut x = input.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.infer(&x, &format!("layer{i}"), engine);
-            if !x.all_finite() {
-                return Err(NonFiniteActivation { layer: i });
-            }
-        }
-        Ok(x)
+        self.infer_walk(input, engine, true)
+    }
+
+    /// The training-mode layer walk behind [`Network::forward`] and
+    /// [`Network::forward_checked`].
+    fn forward_walk(
+        &mut self,
+        input: &Tensor,
+        check: bool,
+    ) -> Result<Tensor, NonFiniteActivation> {
+        let depth = self.layers.len();
+        walk(&self.input_shape, depth, input, check, |i, x| self.layers[i].forward(x))
+    }
+
+    /// The read-only layer walk behind [`Network::infer_with`] and
+    /// [`Network::infer_checked_with`].
+    fn infer_walk(
+        &self,
+        input: &Tensor,
+        engine: &dyn MatmulEngine,
+        check: bool,
+    ) -> Result<Tensor, NonFiniteActivation> {
+        let mut key = [0u8; 32];
+        walk(&self.input_shape, self.layers.len(), input, check, |i, x| {
+            self.layers[i].infer(x, layer_key(i, &mut key), engine)
+        })
     }
 
     /// Forward pass for a single sample of shape `input_shape`; returns a
@@ -345,11 +314,6 @@ impl Network {
         }
     }
 
-    /// Predicted class (argmax of logits) for a single sample.
-    pub fn predict(&mut self, sample: &Tensor) -> usize {
-        self.forward_single(sample).argmax()
-    }
-
     /// Calls `f(key, tensor)` for every trainable parameter, with stable
     /// keys of the form `layer{idx}.{name}` (e.g. `layer0.weight`).
     pub fn for_each_param(&self, mut f: impl FnMut(&str, &Tensor)) {
@@ -370,6 +334,32 @@ impl Network {
                 f(&format!("layer{i}.{name}"), tensor);
             }
         }
+    }
+
+    /// The parameter stored under `key` (a [`Network::for_each_param`]
+    /// key such as `layer0.weight`), if the network has one.
+    pub fn param(&self, key: &str) -> Option<&Tensor> {
+        let (layer, slot) = self.param_slot(key)?;
+        self.layers[layer].params().into_iter().nth(slot)
+    }
+
+    /// Mutable access to the parameter stored under `key`.
+    pub fn param_mut(&mut self, key: &str) -> Option<&mut Tensor> {
+        let (layer, slot) = self.param_slot(key)?;
+        self.layers[layer].params_mut().into_iter().nth(slot)
+    }
+
+    /// Resolves a `layer{idx}.{name}` key to the layer index and the
+    /// parameter's position within that layer.
+    fn param_slot(&self, key: &str) -> Option<(usize, usize)> {
+        let (idx, name) = key.strip_prefix("layer")?.split_once('.')?;
+        // Canonical indices only: `layer01.weight` names no parameter.
+        if !idx.bytes().all(|b| b.is_ascii_digit()) || (idx.len() > 1 && idx.starts_with('0')) {
+            return None;
+        }
+        let layer: usize = idx.parse().ok()?;
+        let slot = self.layers.get(layer)?.param_names().iter().position(|n| *n == name)?;
+        Some((layer, slot))
     }
 
     /// Overwrites every trainable parameter with the corresponding value
@@ -525,6 +515,46 @@ impl Network {
         let dict: Vec<(String, Tensor)> = Vec::from_json(&value)?;
         self.load_state_dict(&dict)
     }
+}
+
+/// The one layer walk: checks the input shape, threads the activation
+/// through `step(i, x)` for each of `depth` layers and, when `check` is
+/// set, stops at the first non-finite activation.
+fn walk(
+    input_shape: &[usize],
+    depth: usize,
+    input: &Tensor,
+    check: bool,
+    mut step: impl FnMut(usize, &Tensor) -> Tensor,
+) -> Result<Tensor, NonFiniteActivation> {
+    assert!(
+        input.ndim() == input_shape.len() + 1 && input.shape()[1..] == input_shape[..],
+        "network expects [N, {:?}] input, got {:?}",
+        input_shape,
+        input.shape()
+    );
+    if check && !input.all_finite() {
+        return Err(NonFiniteActivation { layer: usize::MAX });
+    }
+    let mut x = input.clone();
+    for i in 0..depth {
+        x = step(i, &x);
+        if check && !x.all_finite() {
+            return Err(NonFiniteActivation { layer: i });
+        }
+    }
+    Ok(x)
+}
+
+/// Formats the `layer{i}` key prefix into a stack buffer, so the layer
+/// walk names every layer for the matmul engine without a heap
+/// allocation.
+fn layer_key(i: usize, buf: &mut [u8; 32]) -> &str {
+    use std::io::Write;
+    let mut rest = &mut buf[..];
+    write!(rest, "layer{i}").expect("`layer` and a usize fit in 32 bytes");
+    let len = 32 - rest.len();
+    std::str::from_utf8(&buf[..len]).expect("layer keys are ASCII")
 }
 
 #[cfg(test)]
@@ -692,6 +722,18 @@ mod tests {
         let err = net.forward_checked(&x).unwrap_err();
         assert_eq!(err.layer, usize::MAX);
         assert!(err.to_string().contains("input"));
+    }
+
+    #[test]
+    fn param_lookup_matches_for_each_param() {
+        let mut rng = SeededRng::new(15);
+        let mut net = tiny_net(&mut rng);
+        net.for_each_param(|k, t| assert_eq!(net.param(k), Some(t), "{k}"));
+        for missing in ["layer1.weight", "layer02.weight", "layer+2.weight", "layer2", "bias"] {
+            assert!(net.param(missing).is_none(), "{missing}");
+        }
+        *net.param_mut("layer2.bias").unwrap() = Tensor::zeros(&[3]);
+        assert_eq!(net.param("layer2.bias"), Some(&Tensor::zeros(&[3])));
     }
 
     #[test]

@@ -92,6 +92,11 @@ pub fn remap_rows(weights: &Tensor, defects: &DefectMap) -> RowRemap {
             if cost < best_cost {
                 best_cost = cost;
                 best_physical = physical;
+                // Costs are sums of absolute errors: no later row can
+                // beat a zero cost, and ties keep the first row anyway.
+                if cost == 0.0 {
+                    break;
+                }
             }
         }
         assignment[logical] = best_physical;

@@ -1,17 +1,19 @@
-//! Live analog inference backends: route every matmul of a network
-//! through conductance-mapped crossbar state.
+//! Device backends: one [`ActiveBackend`] surface over the digital
+//! reference and the live crossbar substrates.
 //!
 //! [`healthmon_nn::InferenceBackend`] is the seam the detection stack
-//! executes through; this module provides the crossbar implementations.
+//! executes through; this module provides its device implementations.
 //! Unlike [`crate::deploy`] — which reads effective weights back into a
-//! digital network once — these backends keep the conductance state
-//! *live*: faults injected mid-lifetime ([`AnalogBackend::drift`],
-//! [`AnalogBackend::stick_cell`], ...) immediately change what the next
+//! digital network once — the crossbar arms keep the conductance state
+//! *live*: faults injected mid-lifetime ([`ActiveBackend::drift`],
+//! [`ActiveBackend::stick_cell`], ...) immediately change what the next
 //! forward pass computes, including DAC/ADC quantization and multi-tile
-//! partial-sum effects the read-back model cannot express.
+//! partial-sum effects the read-back model cannot express. The digital
+//! arm applies the same operations to the weights themselves, so a
+//! lifetime runs one code path on every backend.
 //!
 //! On integer-path-capable tile configurations (the default; see
-//! [`CrossbarConfig::integer_path_capable`]) the analog backends execute
+//! [`CrossbarConfig::integer_path_capable`]) the crossbar arms execute
 //! on the quantized `i32` hot path: activations become DAC codes once per
 //! layer call, conductances are cached as differential integer codes, and
 //! the ADC applies at tile boundaries. Conductance mutators (`drift`,
@@ -19,9 +21,10 @@
 //! the `f32` differential cache, so liveness is preserved.
 
 use crate::{
-    BitSlicedMatrix, CellFault, CrossbarConfig, DeployReport, IrDropModel, LayerMapping,
-    ScrubOutcome, TiledMatrix,
+    deploy, BitSlicedMatrix, CellFault, CrossbarConfig, DeployReport, IrDropModel, LayerMapping,
+    ParityCheck, ScrubOutcome, TiledMatrix,
 };
+use healthmon_faults::FaultModel;
 use healthmon_nn::{
     InferenceBackend, MatmulEngine, MatmulOrientation, Network, NonFiniteActivation,
 };
@@ -139,14 +142,16 @@ impl BackendSpec {
     /// Instantiates the backend over `net`.
     ///
     /// The digital backend *borrows* the network (zero-copy, bit-identical
-    /// to calling [`Network::infer`] directly); analog backends program a
-    /// fresh conductance image from `rng`.
+    /// to calling [`Network::infer`] directly); crossbar backends program
+    /// a fresh conductance image from `rng`.
     pub fn instantiate<'a>(&self, net: &'a Network, rng: &mut SeededRng) -> ActiveBackend<'a> {
         match self.kind {
-            BackendKind::Digital => ActiveBackend::Digital(net),
-            BackendKind::Analog => ActiveBackend::Analog(AnalogBackend::program(net, self, rng)),
+            BackendKind::Digital => {
+                ActiveBackend::Digital { net: Cow::Borrowed(net), parity: Vec::new() }
+            }
+            BackendKind::Analog => ActiveBackend::Analog(MappedNetwork::program(net, self, rng)),
             BackendKind::BitSliced => {
-                ActiveBackend::BitSliced(BitSlicedBackend::program(net, self, rng))
+                ActiveBackend::BitSliced(MappedNetwork::program(net, self, rng))
             }
         }
     }
@@ -338,12 +343,13 @@ impl MappedLayer {
     }
 }
 
-/// Shared implementation of the analog backends: the digital network (for
-/// structure, biases, and non-matmul layers) plus live crossbar state for
-/// every conductance-mapped weight, routed into inference through
-/// [`MatmulEngine`].
+/// Live crossbar state of a network: the digital network (for structure,
+/// biases, and non-matmul layers) plus a [`TiledMatrix`] (analog) or a
+/// [`BitSlicedMatrix`] (bit-sliced) for every conductance-mapped weight,
+/// routed into inference through [`MatmulEngine`]. The crossbar arms of
+/// [`ActiveBackend`] hold one.
 #[derive(Debug, Clone)]
-struct MappedNetwork<'a> {
+pub struct MappedNetwork<'a> {
     /// Borrowed at program time (campaign workloads program thousands of
     /// short-lived backends and must not deep-copy every net); cloned
     /// lazily only if a layer rewrite has to update the digital weights.
@@ -356,7 +362,13 @@ struct MappedNetwork<'a> {
 }
 
 impl<'a> MappedNetwork<'a> {
-    fn program(net: &'a Network, spec: &BackendSpec, rng: &mut SeededRng) -> Self {
+    /// Programs every conductance-mapped weight of `net` onto crossbar
+    /// state per `spec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` is invalid or digital.
+    pub fn program(net: &'a Network, spec: &BackendSpec, rng: &mut SeededRng) -> Self {
         spec.validate();
         assert!(spec.kind != BackendKind::Digital, "digital backend needs no mapping");
         let mut orientations = BTreeMap::new();
@@ -390,19 +402,39 @@ impl<'a> MappedNetwork<'a> {
         mapped
     }
 
-    fn inject_stuck_cells(&mut self, fault: CellFault, fraction: f64, rng: &mut SeededRng) {
+    /// The digital network the backend was programmed from (structure,
+    /// biases, and the last-written weights).
+    pub fn network(&self) -> &Network {
+        &self.net
+    }
+
+    /// Freezes a fraction of cells across every mapped layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fraction` is not in `[0, 1]`.
+    pub fn inject_stuck_cells(&mut self, fault: CellFault, fraction: f64, rng: &mut SeededRng) {
         for layer in self.layers.values_mut() {
             layer.matrix.inject_stuck_cells(fault, fraction, rng);
         }
     }
 
-    fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
+    /// Applies lognormal conductance disturbance to every mapped layer.
+    pub fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
         for layer in self.layers.values_mut() {
             layer.matrix.disturb(sigma, rng);
         }
     }
 
-    fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
+    /// Flips cells with the given probability across every mapped layer
+    /// (key order, one continuous RNG stream) — sparse transient soft
+    /// errors, the device-level image of the digital `RandomSoftError`
+    /// fault. Returns the flipped cell count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probability` is not in `[0, 1]`.
+    pub fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
         let mut flipped = 0usize;
         for layer in self.layers.values_mut() {
             flipped += layer.matrix.flip_cells(probability, rng);
@@ -410,20 +442,28 @@ impl<'a> MappedNetwork<'a> {
         flipped
     }
 
-    fn enable_parity(&mut self) {
+    /// Enables online soft-error tolerance: every tile captures XOR parity
+    /// checksums over its conductance planes, and layer rewrites keep
+    /// parity enabled on the fresh state.
+    pub fn enable_parity(&mut self) {
         self.parity = true;
         for layer in self.layers.values_mut() {
             layer.matrix.enable_parity();
         }
     }
 
-    fn refresh_parity(&mut self) {
+    /// Re-baselines every tile's parity checksums to the current
+    /// conductances (acknowledging writes or expected aging).
+    pub fn refresh_parity(&mut self) {
         for layer in self.layers.values_mut() {
             layer.matrix.refresh_parity();
         }
     }
 
-    fn scrub_parity(&mut self) -> ScrubOutcome {
+    /// Scrubs every tile in-situ against its parity checksums, restoring
+    /// correctable transient flips bitwise. Returns the merged outcome
+    /// (empty when parity was never enabled).
+    pub fn scrub_parity(&mut self) -> ScrubOutcome {
         let mut outcome = ScrubOutcome::default();
         for layer in self.layers.values_mut() {
             outcome.merge(layer.matrix.scrub_parity());
@@ -431,45 +471,57 @@ impl<'a> MappedNetwork<'a> {
         outcome
     }
 
-    fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
+    /// Applies conductance drift to every mapped layer.
+    pub fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
         for layer in self.layers.values_mut() {
             layer.matrix.drift(nu, time, rng);
         }
     }
 
-    fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
-        let layer = self
-            .layers
-            .get_mut(key)
-            .unwrap_or_else(|| panic!("`{key}` is not a conductance-mapped parameter"));
+    /// Freezes one weight (digital coordinates within the named
+    /// parameter) at the given value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not conductance-mapped or the coordinates are
+    /// out of bounds.
+    pub fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
+        let layer = self.mapped_mut(key);
         let (pr, pc) = layer.physical(row, col);
         layer.matrix.stick_cell(pr, pc, weight);
     }
 
-    fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
-        let spec = self.spec;
-        let layer = self
-            .layers
-            .get_mut(key)
-            .unwrap_or_else(|| panic!("`{key}` is not a conductance-mapped parameter"));
+    /// Reprograms one mapped parameter with new digital weights
+    /// (repair/reprogramming path); IR drop is re-applied if the spec
+    /// enables it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not conductance-mapped.
+    pub fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
+        let (spec, parity) = (self.spec, self.parity);
+        let layer = self.mapped_mut(key);
         let oriented = layer.orient(weights);
         layer.matrix = MappedMatrix::program(&oriented, &spec, rng);
         if spec.ir_drop > 0.0 {
             layer.matrix.apply_ir_drop(&IrDropModel::new(spec.ir_drop));
         }
-        if self.parity {
+        if parity {
             layer.matrix.enable_parity();
         }
-        self.net.to_mut().for_each_param_mut(|k, tensor| {
-            if k == key {
-                *tensor = weights.clone();
-            }
-        });
+        *self.net.to_mut().param_mut(key).expect("mapped keys are network parameters") =
+            weights.clone();
+    }
+
+    fn mapped_mut(&mut self, key: &str) -> &mut MappedLayer {
+        self.layers
+            .get_mut(key)
+            .unwrap_or_else(|| panic!("`{key}` is not a conductance-mapped parameter"))
     }
 
     /// Deep-copies a borrowed source network into the backend, severing
     /// the lifetime tie (no-op if a rewrite already forced ownership).
-    fn into_owned(self) -> MappedNetwork<'static> {
+    pub fn into_owned(self) -> MappedNetwork<'static> {
         MappedNetwork {
             net: Cow::Owned(self.net.into_owned()),
             spec: self.spec,
@@ -478,17 +530,10 @@ impl<'a> MappedNetwork<'a> {
         }
     }
 
-    fn readback(&self) -> Network {
-        let mut net = self.net.as_ref().clone();
-        net.for_each_param_mut(|key, tensor| {
-            if let Some(layer) = self.layers.get(key) {
-                *tensor = layer.readback_digital();
-            }
-        });
-        net
-    }
-
-    fn deploy_report(&self, probe: &Tensor) -> DeployReport {
+    /// Profiles the backend against its digital reference on a probe
+    /// batch: per-layer tile counts, area utilization, ADC range usage,
+    /// mapping error, and digital-vs-analog logit divergence.
+    pub fn deploy_report(&self, probe: &Tensor) -> DeployReport {
         let digital = self.net.infer(probe);
         let recorder = RecordingEngine { inner: self, peaks: RefCell::new(BTreeMap::new()) };
         let analog = self.net.infer_with(probe, &recorder);
@@ -547,13 +592,19 @@ impl InferenceBackend for MappedNetwork<'_> {
     }
 
     fn readback(&self) -> Network {
-        MappedNetwork::readback(self)
+        let mut net = self.net.as_ref().clone();
+        net.for_each_param_mut(|key, tensor| {
+            if let Some(layer) = self.layers.get(key) {
+                *tensor = layer.readback_digital();
+            }
+        });
+        net
     }
 }
 
 /// A [`MatmulEngine`] that delegates to crossbar state while recording the
 /// peak output magnitude per mapped layer — used by
-/// [`AnalogBackend::deploy_report`] to estimate ADC range utilization.
+/// [`MappedNetwork::deploy_report`] to estimate ADC range utilization.
 struct RecordingEngine<'a> {
     inner: &'a MappedNetwork<'a>,
     peaks: RefCell<BTreeMap<String, f32>>,
@@ -584,213 +635,285 @@ impl MatmulEngine for RecordingEngine<'_> {
     }
 }
 
-macro_rules! delegate_backend {
-    ($name:ident) => {
-        impl<'a> $name<'a> {
-            /// Programs every conductance-mapped weight of `net` onto
-            /// crossbar state per `spec`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `spec` is invalid or its kind disagrees with this
-            /// backend type.
-            pub fn program(net: &'a Network, spec: &BackendSpec, rng: &mut SeededRng) -> Self {
-                assert_eq!(spec.kind, Self::KIND, "spec kind disagrees with backend type");
-                $name(MappedNetwork::program(net, spec, rng))
-            }
-
-            /// Severs the borrow of the source network by deep-copying it
-            /// into the backend — for callers that store the backend
-            /// beyond the network's lifetime (e.g. a deployed device).
-            pub fn into_owned(self) -> $name<'static> {
-                $name(self.0.into_owned())
-            }
-
-            /// The digital network the backend was programmed from
-            /// (structure, biases, and the pre-mapping weights).
-            pub fn network(&self) -> &Network {
-                &self.0.net
-            }
-
-            /// The specification this backend was programmed with.
-            pub fn spec(&self) -> &BackendSpec {
-                &self.0.spec
-            }
-
-            /// Freezes a fraction of cells across every mapped layer.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `fraction` is not in `[0, 1]`.
-            pub fn inject_stuck_cells(
-                &mut self,
-                fault: CellFault,
-                fraction: f64,
-                rng: &mut SeededRng,
-            ) {
-                self.0.inject_stuck_cells(fault, fraction, rng);
-            }
-
-            /// Applies lognormal conductance disturbance to every mapped
-            /// layer.
-            pub fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
-                self.0.disturb(sigma, rng);
-            }
-
-            /// Applies conductance drift to every mapped layer.
-            pub fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-                self.0.drift(nu, time, rng);
-            }
-
-            /// Flips cells with the given probability across every mapped
-            /// layer (key order, one continuous RNG stream) — sparse
-            /// transient soft errors, the device-level image of the
-            /// digital `RandomSoftError` fault. Returns the flipped cell
-            /// count.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `probability` is not in `[0, 1]`.
-            pub fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
-                self.0.flip_cells(probability, rng)
-            }
-
-            /// Enables online soft-error tolerance: every tile captures
-            /// XOR parity checksums over its conductance planes, and
-            /// layer rewrites keep parity enabled on the fresh state.
-            pub fn enable_parity(&mut self) {
-                self.0.enable_parity();
-            }
-
-            /// Re-baselines every tile's parity checksums to the current
-            /// conductances (acknowledging writes or expected aging).
-            pub fn refresh_parity(&mut self) {
-                self.0.refresh_parity();
-            }
-
-            /// Scrubs every tile in-situ against its parity checksums,
-            /// restoring correctable transient flips bitwise. Returns the
-            /// merged outcome (empty when parity was never enabled).
-            pub fn scrub_parity(&mut self) -> ScrubOutcome {
-                self.0.scrub_parity()
-            }
-
-            /// Freezes one weight (digital coordinates within the named
-            /// parameter) at the given value.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `key` is not conductance-mapped or the
-            /// coordinates are out of bounds.
-            pub fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
-                self.0.stick_cell(key, row, col, weight);
-            }
-
-            /// Reprograms one mapped parameter with new digital weights
-            /// (repair/reprogramming path); IR drop is re-applied if the
-            /// spec enables it.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `key` is not conductance-mapped.
-            pub fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
-                self.0.write_layer(key, weights, rng);
-            }
-
-            /// Profiles the backend against its digital reference on a
-            /// probe batch: per-layer tile counts, area utilization, ADC
-            /// range usage, mapping error, and digital-vs-analog logit
-            /// divergence.
-            pub fn deploy_report(&self, probe: &Tensor) -> DeployReport {
-                self.0.deploy_report(probe)
-            }
-        }
-
-        impl InferenceBackend for $name<'_> {
-            fn infer(&self, input: &Tensor) -> Tensor {
-                self.0.infer(input)
-            }
-
-            fn infer_checked(&self, input: &Tensor) -> Result<Tensor, NonFiniteActivation> {
-                self.0.infer_checked(input)
-            }
-
-            fn backend_name(&self) -> &'static str {
-                self.0.backend_name()
-            }
-
-            fn readback(&self) -> Network {
-                self.0.readback()
-            }
-        }
-    };
-}
-
-/// Live analog crossbar backend: every conductance-mapped weight runs as a
-/// [`TiledMatrix`] with DAC/ADC conversion on each matmul.
+/// The device surface: one execution substrate — the digital reference or
+/// live crossbar state — behind every operation a deployed device
+/// undergoes (inference, aging, stuck cells, layer writes, parity scrubs,
+/// repairs). [`BackendSpec::instantiate`] builds one; a deployed device
+/// owns an `ActiveBackend<'static>` (see [`ActiveBackend::into_owned`]).
 #[derive(Debug, Clone)]
-pub struct AnalogBackend<'a>(MappedNetwork<'a>);
-
-impl AnalogBackend<'_> {
-    const KIND: BackendKind = BackendKind::Analog;
-}
-
-delegate_backend!(AnalogBackend);
-
-/// Live bit-sliced crossbar backend: every conductance-mapped weight runs
-/// as a [`BitSlicedMatrix`] with shift-add recombination on each matmul.
-#[derive(Debug, Clone)]
-pub struct BitSlicedBackend<'a>(MappedNetwork<'a>);
-
-impl BitSlicedBackend<'_> {
-    const KIND: BackendKind = BackendKind::BitSliced;
-}
-
-delegate_backend!(BitSlicedBackend);
-
-/// A backend instantiated from a [`BackendSpec`]: the digital variant
-/// borrows the network (bit-identical, zero-copy); analog variants own
-/// programmed crossbar state.
-#[derive(Debug)]
 pub enum ActiveBackend<'a> {
-    /// Borrowed digital reference.
-    Digital(&'a Network),
-    /// Analog crossbar state borrowing the programmed net.
-    Analog(AnalogBackend<'a>),
-    /// Bit-sliced crossbar state borrowing the programmed net.
-    BitSliced(BitSlicedBackend<'a>),
+    /// Weight-space digital device.
+    Digital {
+        /// The device network: borrowed by campaigns (zero-copy), owned
+        /// by a deployed device.
+        net: Cow<'a, Network>,
+        /// Parity planes over each weight tensor (empty until
+        /// [`ActiveBackend::enable_parity`]).
+        parity: Vec<(String, ParityCheck)>,
+    },
+    /// Differential-pair crossbars ([`TiledMatrix`] per mapped weight).
+    Analog(MappedNetwork<'a>),
+    /// Bit-sliced crossbars ([`BitSlicedMatrix`] per mapped weight).
+    BitSliced(MappedNetwork<'a>),
+}
+
+impl ActiveBackend<'_> {
+    /// Severs any borrow of the source network by deep-copying it into
+    /// the backend — for callers that keep the backend beyond the
+    /// network's lifetime (a deployed device).
+    pub fn into_owned(self) -> ActiveBackend<'static> {
+        match self {
+            ActiveBackend::Digital { net, parity } => {
+                ActiveBackend::Digital { net: Cow::Owned(net.into_owned()), parity }
+            }
+            ActiveBackend::Analog(m) => ActiveBackend::Analog(m.into_owned()),
+            ActiveBackend::BitSliced(m) => ActiveBackend::BitSliced(m.into_owned()),
+        }
+    }
+
+    /// The device network. For crossbar arms this is the programmed
+    /// digital image (structure, biases, last-written weights);
+    /// conductance-level aging shows up only in
+    /// [`InferenceBackend::readback`].
+    pub fn network(&self) -> &Network {
+        match self {
+            ActiveBackend::Digital { net, .. } => net,
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => m.network(),
+        }
+    }
+
+    /// The digital parity planes, in parameter order (empty on crossbar
+    /// arms, which keep parity on their tiles).
+    pub fn parity_planes(&self) -> &[(String, ParityCheck)] {
+        match self {
+            ActiveBackend::Digital { parity, .. } => parity,
+            ActiveBackend::Analog(_) | ActiveBackend::BitSliced(_) => &[],
+        }
+    }
+
+    /// One epoch of resistance drift: `FaultModel::Drift` on the digital
+    /// weights, conductance drift on the crossbars.
+    pub fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
+        match self {
+            ActiveBackend::Digital { net, .. } => {
+                FaultModel::Drift { nu, time }.apply(net.to_mut(), rng);
+            }
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => m.drift(nu, time, rng),
+        }
+    }
+
+    /// Dense soft errors: `FaultModel::RandomSoftError` on the digital
+    /// weights; on the crossbars, read-disturb noise — lognormal
+    /// conductance jitter driven by the same probability knob.
+    pub fn soft_errors(&mut self, probability: f64, rng: &mut SeededRng) {
+        match self {
+            ActiveBackend::Digital { net, .. } => {
+                FaultModel::RandomSoftError { probability }.apply(net.to_mut(), rng);
+            }
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => {
+                m.disturb(probability as f32, rng);
+            }
+        }
+    }
+
+    /// Sparse transient soft errors, the kind a parity scrub can isolate:
+    /// the digital arm keeps the weight-space `RandomSoftError` stream;
+    /// the crossbars flip individual cells instead of applying dense
+    /// read-disturb jitter.
+    pub fn transient_flips(&mut self, probability: f64, rng: &mut SeededRng) {
+        match self {
+            ActiveBackend::Digital { net, .. } => {
+                FaultModel::RandomSoftError { probability }.apply(net.to_mut(), rng);
+            }
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => {
+                m.flip_cells(probability, rng);
+            }
+        }
+    }
+
+    /// Freezes one weight (digital coordinates within the named
+    /// parameter) at the given value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` names no (conductance-mapped) weight or the
+    /// coordinates are out of bounds.
+    pub fn stick_cell(&mut self, key: &str, row: usize, col: usize, weight: f32) {
+        match self {
+            ActiveBackend::Digital { net, .. } => {
+                *digital_param(net, key).at_mut(&[row, col]) = weight;
+            }
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => {
+                m.stick_cell(key, row, col, weight);
+            }
+        }
+    }
+
+    /// Writes new weights into one parameter: assigned directly on the
+    /// digital arm, reprogrammed through the crossbar write path (drawing
+    /// write noise from `rng`) on the crossbars.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` names no (conductance-mapped) weight.
+    pub fn write_layer(&mut self, key: &str, weights: &Tensor, rng: &mut SeededRng) {
+        match self {
+            ActiveBackend::Digital { net, .. } => *digital_param(net, key) = weights.clone(),
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => {
+                m.write_layer(key, weights, rng);
+            }
+        }
+    }
+
+    /// Reprograms the device from `golden`. `remap(key, weights)` turns
+    /// the weights about to be written into the tensor actually written
+    /// (`None` leaves that parameter alone).
+    ///
+    /// The digital arm redeploys the whole golden network onto `crossbar`
+    /// (biases included, with fresh programming noise) and remaps the
+    /// *programmed* weights; the crossbars remap the golden weights and
+    /// write them through the crossbar write path.
+    pub fn reprogram(
+        &mut self,
+        golden: &Network,
+        crossbar: &CrossbarConfig,
+        rng: &mut SeededRng,
+        mut remap: impl FnMut(&str, &Tensor) -> Option<Tensor>,
+    ) {
+        match self {
+            ActiveBackend::Digital { net, .. } => {
+                let (mut fresh, _) = deploy(golden, crossbar, rng);
+                fresh.for_each_param_mut(|key, tensor| {
+                    if let Some(weights) = remap(key, tensor) {
+                        *tensor = weights;
+                    }
+                });
+                *net = Cow::Owned(fresh);
+            }
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => {
+                golden.for_each_param(|key, tensor| {
+                    if let Some(weights) = remap(key, tensor) {
+                        m.write_layer(key, &weights, rng);
+                    }
+                });
+            }
+        }
+    }
+
+    /// Fine-tunes the device with `train`. The digital arm trains the
+    /// device network in place; the crossbars train a read-back of their
+    /// effective weights and write the conductance-mapped layers back
+    /// (bias updates stay cloud-side: only mapped parameters have a
+    /// crossbar write path).
+    pub fn retrain(&mut self, rng: &mut SeededRng, train: impl FnOnce(&mut Network)) {
+        match self {
+            ActiveBackend::Digital { net, .. } => train(net.to_mut()),
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => {
+                let mut snapshot = m.readback();
+                train(&mut snapshot);
+                snapshot.for_each_param(|key, tensor| {
+                    if m.layers.contains_key(key) {
+                        m.write_layer(key, tensor, rng);
+                    }
+                });
+            }
+        }
+    }
+
+    /// Programs parity checksums over the current device state: one
+    /// plane per weight tensor on the digital arm, per-tile spare columns
+    /// on the crossbars (kept enabled across layer rewrites).
+    pub fn enable_parity(&mut self) {
+        match self {
+            ActiveBackend::Digital { net, parity } => {
+                parity.clear();
+                net.for_each_param(|key, tensor| {
+                    if key.ends_with("weight") {
+                        let rows = tensor.shape()[0];
+                        let cols = tensor.len() / rows;
+                        let check = ParityCheck::capture(rows, cols, tensor.as_slice());
+                        parity.push((key.to_owned(), check));
+                    }
+                });
+            }
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => m.enable_parity(),
+        }
+    }
+
+    /// Re-baselines every parity checksum to the current device state.
+    pub fn refresh_parity(&mut self) {
+        match self {
+            ActiveBackend::Digital { net, parity } => {
+                for (key, check) in parity {
+                    let tensor = net.param(key).expect("parity planes cover device weights");
+                    check.refresh(tensor.as_slice());
+                }
+            }
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => m.refresh_parity(),
+        }
+    }
+
+    /// One in-situ parity scrub over the whole device, restoring
+    /// correctable transient flips bitwise. Empty when parity was never
+    /// enabled.
+    pub fn scrub_parity(&mut self) -> ScrubOutcome {
+        match self {
+            ActiveBackend::Digital { net, parity } => {
+                let mut outcome = ScrubOutcome::default();
+                for (key, check) in parity.iter() {
+                    outcome.merge(check.scrub(digital_param(net, key).as_mut_slice()));
+                }
+                outcome
+            }
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => m.scrub_parity(),
+        }
+    }
+
+    /// Profiles the crossbar mapping against the digital reference on a
+    /// probe batch (see [`MappedNetwork::deploy_report`]). A digital
+    /// device maps nothing: its report is empty and unprofiled.
+    pub fn deploy_report(&self, probe: &Tensor) -> DeployReport {
+        match self {
+            ActiveBackend::Digital { .. } => {
+                DeployReport { mappings: Vec::new(), logit_divergence: None }
+            }
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => m.deploy_report(probe),
+        }
+    }
+}
+
+/// The digital device parameter `key`, cloned out of a borrowed network
+/// on first write.
+fn digital_param<'n>(net: &'n mut Cow<'_, Network>, key: &str) -> &'n mut Tensor {
+    net.to_mut().param_mut(key).unwrap_or_else(|| panic!("`{key}` is not a device parameter"))
 }
 
 impl InferenceBackend for ActiveBackend<'_> {
     fn infer(&self, input: &Tensor) -> Tensor {
         match self {
-            ActiveBackend::Digital(net) => net.infer(input),
-            ActiveBackend::Analog(b) => b.infer(input),
-            ActiveBackend::BitSliced(b) => b.infer(input),
+            ActiveBackend::Digital { net, .. } => net.infer(input),
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => m.infer(input),
         }
     }
 
     fn infer_checked(&self, input: &Tensor) -> Result<Tensor, NonFiniteActivation> {
         match self {
-            ActiveBackend::Digital(net) => net.infer_checked(input),
-            ActiveBackend::Analog(b) => b.infer_checked(input),
-            ActiveBackend::BitSliced(b) => b.infer_checked(input),
+            ActiveBackend::Digital { net, .. } => net.infer_checked(input),
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => m.infer_checked(input),
         }
     }
 
     fn backend_name(&self) -> &'static str {
         match self {
-            ActiveBackend::Digital(_) => "digital",
-            ActiveBackend::Analog(b) => b.backend_name(),
-            ActiveBackend::BitSliced(b) => b.backend_name(),
+            ActiveBackend::Digital { .. } => BackendKind::Digital.label(),
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => m.backend_name(),
         }
     }
 
     fn readback(&self) -> Network {
         match self {
-            ActiveBackend::Digital(net) => (*net).clone(),
-            ActiveBackend::Analog(b) => InferenceBackend::readback(b),
-            ActiveBackend::BitSliced(b) => InferenceBackend::readback(b),
+            ActiveBackend::Digital { net, .. } => net.as_ref().clone(),
+            ActiveBackend::Analog(m) | ActiveBackend::BitSliced(m) => m.readback(),
         }
     }
 }
@@ -828,7 +951,7 @@ mod tests {
     fn exact_analog_is_bitwise_digital_on_mlp() {
         let mut rng = SeededRng::new(1);
         let net = tiny_mlp(12, 16, 5, &mut rng);
-        let backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+        let backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
         let x = Tensor::randn(&[4, 12], &mut rng);
         assert_eq!(backend.infer(&x), net.infer(&x));
         assert_eq!(backend.infer_checked(&x).unwrap(), net.infer(&x));
@@ -838,7 +961,7 @@ mod tests {
     fn exact_analog_is_bitwise_digital_on_cnn() {
         let mut rng = SeededRng::new(2);
         let net = tiny_cnn(&mut rng);
-        let backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+        let backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
         let x = Tensor::randn(&[2, 1, 8, 8], &mut rng);
         assert_eq!(backend.infer(&x), net.infer(&x), "conv path must be bitwise digital");
     }
@@ -847,7 +970,7 @@ mod tests {
     fn exact_readback_matches_weights() {
         let mut rng = SeededRng::new(3);
         let net = tiny_mlp(6, 8, 3, &mut rng);
-        let backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+        let backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
         let back = InferenceBackend::readback(&backend);
         let mut pairs = Vec::new();
         net.for_each_param(|k, t| pairs.push((k.to_owned(), t.clone())));
@@ -871,7 +994,7 @@ mod tests {
             CrossbarConfig { cell_bits: 4, dac_bits: 0, adc_bits: 0, ..CrossbarConfig::default() },
             16,
         );
-        let backend = BitSlicedBackend::program(&net, &spec, &mut rng);
+        let backend = MappedNetwork::program(&net, &spec, &mut rng);
         assert_eq!(backend.backend_name(), "bitsliced");
         let x = Tensor::randn(&[3, 10], &mut rng).map(|v| v.clamp(-1.0, 1.0));
         let analog = backend.infer(&x);
@@ -884,7 +1007,7 @@ mod tests {
     fn live_faults_change_inference() {
         let mut rng = SeededRng::new(5);
         let net = tiny_mlp(8, 10, 4, &mut rng);
-        let mut backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+        let mut backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
         let x = Tensor::randn(&[2, 8], &mut rng);
         let clean = backend.infer(&x);
         backend.inject_stuck_cells(CellFault::StuckHigh, 0.3, &mut rng);
@@ -899,7 +1022,7 @@ mod tests {
     fn stick_cell_respects_orientation() {
         let mut rng = SeededRng::new(6);
         let net = tiny_cnn(&mut rng);
-        let mut backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+        let mut backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
         // layer0 is a conv: weight [F, C·K·K], programmed transposed.
         backend.stick_cell("layer0.weight", 1, 3, 0.5);
         let back = InferenceBackend::readback(&backend);
@@ -914,7 +1037,7 @@ mod tests {
     fn write_layer_reprograms() {
         let mut rng = SeededRng::new(7);
         let net = tiny_mlp(6, 8, 3, &mut rng);
-        let mut backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+        let mut backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
         backend.inject_stuck_cells(CellFault::StuckHigh, 1.0, &mut rng);
         let mut fresh = None;
         net.for_each_param(|k, t| {
@@ -942,7 +1065,7 @@ mod tests {
         let mut rng = SeededRng::new(8);
         let net = tiny_mlp(8, 12, 4, &mut rng);
         let spec = BackendSpec::analog(CrossbarConfig::default());
-        let backend = AnalogBackend::program(&net, &spec, &mut rng);
+        let backend = MappedNetwork::program(&net, &spec, &mut rng);
         let probe = Tensor::randn(&[5, 8], &mut rng).map(|v| v.clamp(-1.0, 1.0));
         let report = backend.deploy_report(&probe);
         assert_eq!(report.mappings.len(), 2);

@@ -109,6 +109,9 @@ fn round_up_pow2(x: f32) -> f32 {
     }
 }
 
+/// Largest |input| the DAC is calibrated for: activations beyond ±1 clip.
+const INPUT_RANGE: f32 = 1.0;
+
 /// Word lines per integer-kernel partial sum: IR-drop factors apply at
 /// this granularity, and `reram.int8.rowblocks` counts these units.
 const ROW_BLOCK: usize = 32;
@@ -180,10 +183,9 @@ struct IntSeed {
 }
 
 /// The DAC level grid of a tile: voltage of level `idx` is
-/// `lo + idx·step`. Derived from `input_range` and `dac_bits` only, so
-/// tiles sharing both (every tile of a [`crate::TiledMatrix`] unless a
-/// caller re-calibrated one) share codes and the whole input can be
-/// quantized once per batch.
+/// `lo + idx·step`. Derived from [`INPUT_RANGE`] and `dac_bits` only, so
+/// tiles sharing `dac_bits` (every tile of a [`crate::TiledMatrix`])
+/// share codes and the whole input can be quantized once per batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct DacGrid {
     lo: f32,
@@ -265,8 +267,6 @@ pub struct Crossbar {
     g_neg: Tensor,
     /// Weight-domain scale: `w = (g_pos − g_neg) * scale`.
     scale: f32,
-    /// Largest |input| the DAC was calibrated for.
-    input_range: f32,
     /// Stored IR-drop model (non-destructive: the pristine conductances
     /// stay untouched and the attenuation is folded into the execution
     /// state on rebuild). `None` when no drop is modelled.
@@ -489,7 +489,6 @@ impl Crossbar {
             g_pos,
             g_neg,
             scale,
-            input_range: 1.0,
             ir_drop: None,
             exec_cache: OnceLock::new(),
             int_seed,
@@ -654,7 +653,7 @@ impl Crossbar {
             return None;
         }
         let levels = 1u32 << self.config.dac_bits;
-        let (lo, hi) = (-self.input_range, self.input_range);
+        let (lo, hi) = (-INPUT_RANGE, INPUT_RANGE);
         let step = (hi - lo) / (levels - 1) as f32;
         Some(DacGrid { lo, hi, step, inv_step: 1.0 / step })
     }
@@ -665,7 +664,7 @@ impl Crossbar {
     /// instead of per (row block, column block). Callers pre-gate on
     /// [`tel::enabled`].
     pub(crate) fn record_dac(&self, values: &[f32]) {
-        record_converter(values, self.input_range, &DAC_SAMPLES, &DAC_CLIPPED, &DAC_SATURATION);
+        record_converter(values, INPUT_RANGE, &DAC_SAMPLES, &DAC_CLIPPED, &DAC_SATURATION);
     }
 
     /// Number of word lines in use.
@@ -676,17 +675,6 @@ impl Crossbar {
     /// Number of bit lines in use.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Calibrates the DAC full-scale range to the largest |input| the tile
-    /// will see (default 1.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is not positive.
-    pub fn set_input_range(&mut self, range: f32) {
-        assert!(range > 0.0, "input range must be positive, got {range}");
-        self.input_range = range;
     }
 
     /// Reads the effective weight matrix back from the conductances —
@@ -704,7 +692,7 @@ impl Crossbar {
     /// every word line driven at the calibrated input range into a cell at
     /// the full conductance window.
     pub fn adc_full_scale(&self) -> f32 {
-        self.input_range * self.rows as f32 * (self.config.g_max - self.config.g_min) * self.scale
+        INPUT_RANGE * self.rows as f32 * (self.config.g_max - self.config.g_min) * self.scale
     }
 
     /// Stores a first-order IR-drop model on the tile, replacing any
@@ -826,16 +814,14 @@ impl Crossbar {
         // ADC scaling fused at the tile boundary.
         if let Some(int) = &exec.int {
             let grid = self.dac_grid().expect("integer-capable config implies a live DAC");
-            let t_dac = tel::enabled().then(std::time::Instant::now);
+            let dac = tel::timed(&PHASE_DAC_NS);
             let codes = grid.codes_for(input.as_slice());
+            drop(dac);
             if let Some(codes) = codes {
-                if let Some(t0) = t_dac {
-                    PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                }
                 if tel::enabled() {
                     record_converter(
                         input.as_slice(),
-                        self.input_range,
+                        INPUT_RANGE,
                         &DAC_SAMPLES,
                         &DAC_CLIPPED,
                         &DAC_SATURATION,
@@ -843,13 +829,8 @@ impl Crossbar {
                 }
                 // The integer kernel fuses the ADC rescale into its tile
                 // boundary, so its time lands in the accumulate phase.
-                let t_acc = tel::enabled().then(std::time::Instant::now);
-                let out = self.int_matmul(int, &grid, &codes, batch, self.rows, 0);
-                if let Some(t0) = t_acc {
-                    PHASE_ACCUMULATE_NS
-                        .record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                }
-                return out;
+                let _accumulate = tel::timed(&PHASE_ACCUMULATE_NS);
+                return self.int_matmul(int, &grid, &codes, batch, self.rows, 0);
             }
         }
         // f32 reference path (exact/ideal configs, NaN inputs, or
@@ -859,40 +840,28 @@ impl Crossbar {
             if tel::enabled() {
                 record_converter(
                     v.as_slice(),
-                    self.input_range,
+                    INPUT_RANGE,
                     &DAC_SAMPLES,
                     &DAC_CLIPPED,
                     &DAC_SATURATION,
                 );
             }
-            let t_dac = tel::enabled().then(std::time::Instant::now);
-            let q = Quantizer::new(-self.input_range, self.input_range, self.config.dac_bits);
+            let dac = tel::timed(&PHASE_DAC_NS);
+            let q = Quantizer::new(-INPUT_RANGE, INPUT_RANGE, self.config.dac_bits);
             q.quantize_slice(v.as_mut_slice());
-            if let Some(t0) = t_dac {
-                PHASE_DAC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
-            let t_acc = tel::enabled().then(std::time::Instant::now);
-            let out = v.matmul_prepacked(self.packed());
-            if let Some(t0) = t_acc {
-                PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
-            out
+            drop(dac);
+            let _accumulate = tel::timed(&PHASE_ACCUMULATE_NS);
+            v.matmul_prepacked(self.packed())
         } else {
             // Analog accumulate directly in the weight domain: the cached
             // packing already carries the (g+ − g−)·scale fold, so one
             // GEMM yields I_bj·scale = Σ_i v_bi (g+_ij − g−_ij)·scale.
-            let t_acc = tel::enabled().then(std::time::Instant::now);
-            let out = input.matmul_prepacked(self.packed());
-            if let Some(t0) = t_acc {
-                PHASE_ACCUMULATE_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
-            out
+            let _accumulate = tel::timed(&PHASE_ACCUMULATE_NS);
+            input.matmul_prepacked(self.packed())
         };
-        let t_adc = tel::enabled().then(std::time::Instant::now);
+        let adc = tel::timed(&PHASE_ADC_NS);
         self.adc_quantize(&mut out);
-        if let Some(t0) = t_adc {
-            PHASE_ADC_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
+        drop(adc);
         out
     }
 
@@ -1096,11 +1065,6 @@ impl Crossbar {
         let pos = ParityCheck::capture(self.rows, self.cols, self.g_pos.as_slice());
         let neg = ParityCheck::capture(self.rows, self.cols, self.g_neg.as_slice());
         self.parity = Some(Box::new([pos, neg]));
-    }
-
-    /// Whether online parity is enabled on this tile.
-    pub fn parity_enabled(&self) -> bool {
-        self.parity.is_some()
     }
 
     /// Re-baselines the parity checksums to the current conductances —

@@ -49,7 +49,7 @@ mod parity;
 mod quant;
 mod tiled;
 
-pub use backend::{ActiveBackend, AnalogBackend, BackendKind, BackendSpec, BitSlicedBackend};
+pub use backend::{ActiveBackend, BackendKind, BackendSpec, MappedNetwork};
 pub use bitslice::BitSlicedMatrix;
 pub use config::CrossbarConfig;
 pub use crossbar::{CellFault, Crossbar};

@@ -59,14 +59,15 @@ pub mod timeseries;
 pub use export::{parse_stream, render_frame, MetricsServer, SnapshotFrame};
 pub use log::{set_verbosity, verbosity, Level};
 pub use metrics::{
-    snapshot, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot,
-    MetricsSnapshot, Stability,
+    snapshot, timed, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram,
+    HistogramSnapshot, MetricsSnapshot, Stability, Timed,
 };
 pub use sink::{parse_jsonl, render_jsonl, render_prometheus, render_report};
 pub use span::{record_event, span, EventSnapshot, Span, SpanSnapshot};
 pub use timeseries::{HealthTimeline, Series, TimelinePoint, TIMELINE_CAPACITY};
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 /// Master switch. All recording paths check this first; default off.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -79,6 +80,12 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+}
+
+/// Wall-clock nanoseconds since `t0`, saturating at `u64::MAX`: the one
+/// clock reading behind [`timed`] guards and span timings.
+pub(crate) fn nanos_since(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// Turns telemetry recording on or off process-wide.

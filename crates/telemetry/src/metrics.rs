@@ -16,6 +16,7 @@
 use crate::enabled;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Whether a metric's aggregate value is thread-count-invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +42,30 @@ const N_SHARDS: usize = 16;
 #[repr(align(64))]
 #[derive(Debug)]
 struct Shard(AtomicU64);
+
+/// An RAII timer for a scope; created by [`timed`]. The elapsed
+/// wall-clock nanoseconds are recorded into its histogram when the guard
+/// drops. Inert if telemetry was disabled at creation time.
+#[derive(Debug)]
+#[must_use = "a timer measures the scope it is alive in; bind it to a variable"]
+pub struct Timed {
+    start: Option<(Instant, &'static Histogram)>,
+}
+
+/// Times the scope the returned guard lives in into `hist`. Near-zero
+/// cost (one relaxed atomic load) while telemetry is disabled.
+#[inline]
+pub fn timed(hist: &'static Histogram) -> Timed {
+    Timed { start: enabled().then(|| (Instant::now(), hist)) }
+}
+
+impl Drop for Timed {
+    fn drop(&mut self) {
+        if let Some((t0, hist)) = self.start {
+            hist.record(crate::nanos_since(t0));
+        }
+    }
+}
 
 #[allow(clippy::declare_interior_mutable_const)] // array-repeat seed, never read as a const
 const ZERO_SHARD: Shard = Shard(AtomicU64::new(0));
@@ -516,6 +541,23 @@ mod tests {
         // 0 -> bucket 0; 1 -> bucket 1; 2,3 -> bucket 2; 4 -> bucket 3; 1024 -> bucket 11.
         assert_eq!(h.buckets, vec![(0, 1), (1, 1), (2, 2), (3, 1), (11, 1)]);
         assert!(!h.stable);
+    }
+
+    #[test]
+    fn timed_guard_records_one_sample_only_when_enabled() {
+        let _g = testlock::exclusive();
+        static H: Histogram = Histogram::new("metrics.timed", Stability::Volatile);
+        {
+            let _t = timed(&H);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        crate::set_enabled(false);
+        drop(timed(&H));
+        crate::set_enabled(true);
+        let snap = snapshot();
+        let h = &snap.histograms[0];
+        assert_eq!(h.count, 1, "a disabled guard records nothing");
+        assert!(h.sum >= 1_000_000, "the scope slept 1 ms, recorded {} ns", h.sum);
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl Drop for Span {
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
             let Some(frame) = stack.pop() else { return };
-            let total_ns = frame.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            let total_ns = crate::nanos_since(frame.start);
             let self_ns = total_ns.saturating_sub(frame.child_ns);
             let mut path = String::new();
             for f in stack.iter() {
@@ -153,7 +153,7 @@ pub fn record_event(name: &'static str, detail: impl Into<String>) {
     if !enabled() {
         return;
     }
-    let t_ns = epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    let t_ns = crate::nanos_since(epoch());
     let mut ring = ring().lock().unwrap();
     let seq = ring.next_seq;
     ring.next_seq += 1;

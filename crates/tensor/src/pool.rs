@@ -78,16 +78,16 @@ static INFLIGHT: AtomicUsize = AtomicUsize::new(0);
 
 /// RAII guard for the inflight watchdog: counts a job in on creation and
 /// out on drop (including the unwind path, so a re-raised chunk panic
-/// cannot leak an inflight count).
+/// cannot leak an inflight count), timing the job into `pool.job_ns`.
 struct InflightGuard {
-    t0: Option<std::time::Instant>,
+    _job: tel::Timed,
 }
 
 impl InflightGuard {
     fn enter() -> Self {
         let now = INFLIGHT.fetch_add(1, Ordering::Relaxed) + 1;
         POOL_INFLIGHT.set(now as f64);
-        InflightGuard { t0: tel::enabled().then(std::time::Instant::now) }
+        InflightGuard { _job: tel::timed(&POOL_JOB_NS) }
     }
 }
 
@@ -95,9 +95,6 @@ impl Drop for InflightGuard {
     fn drop(&mut self) {
         let now = INFLIGHT.fetch_sub(1, Ordering::Relaxed) - 1;
         POOL_INFLIGHT.set(now as f64);
-        if let Some(t0) = self.t0 {
-            POOL_JOB_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-        }
     }
 }
 
@@ -269,15 +266,13 @@ pub fn run(n_chunks: usize, f: impl Fn(usize) + Sync) {
     execute(&job, &POOL_CHUNKS_CALLER);
     // Queue wait: how long the caller blocks on stragglers after running
     // out of chunks to claim itself.
-    let wait_t0 = if tel::enabled() { Some(std::time::Instant::now()) } else { None };
+    let wait = tel::timed(&POOL_WAIT_NS);
     let mut done = job.done.lock().unwrap();
     while *done < n_chunks {
         done = job.done_cv.wait(done).unwrap();
     }
     drop(done);
-    if let Some(t0) = wait_t0 {
-        POOL_WAIT_NS.record(t0.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    }
+    drop(wait);
     let mut queue = shared.queue.lock().unwrap();
     if let Some(pos) = queue.iter().position(|j| Arc::ptr_eq(j, &job)) {
         queue.remove(pos);

@@ -17,7 +17,7 @@
 use healthmon::{BackendSpec, CrossbarConfig, Detector, InferenceBackend, SdcCriterion, TestPatternSet};
 use healthmon_faults::{FaultCampaign, FaultModel};
 use healthmon_nn::zoo;
-use healthmon_reram::{deploy, AnalogBackend};
+use healthmon_reram::{deploy, MappedNetwork};
 use healthmon_tensor::{SeededRng, Tensor};
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
             / report.mappings.len() as f32;
 
         let digital = model.infer(&probes);
-        let backend = AnalogBackend::program(&model, &exact, &mut rng.fork(2));
+        let backend = MappedNetwork::program(&model, &exact, &mut rng.fork(2));
         let analog = backend.infer(&probes);
         let bitwise = digital
             .as_slice()

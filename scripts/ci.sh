@@ -44,6 +44,11 @@ assemble_bench_report() {
 echo "== offline release build =="
 cargo build --release --offline --workspace
 
+echo "== benchmark build (perfbench links the public library API) =="
+# perfbench is a standalone package outside the workspace; building it
+# here makes a public-API change that breaks the benchmark fail CI.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== offline tests =="
 cargo test -q --offline --workspace
 

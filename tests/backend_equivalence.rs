@@ -1,6 +1,6 @@
 //! Cross-backend equivalence and live-analog-state regression tests.
 //!
-//! The contract under test: an [`AnalogBackend`] configured with exact
+//! The contract under test: an analog [`MappedNetwork`] configured with exact
 //! cells (`cell_bits = 0`), ideal converters, zero write noise and no IR
 //! drop computes **bit-identical** logits to the plain digital network —
 //! on real paper-scale architectures, not just toy matrices. And the
@@ -8,10 +8,13 @@
 //! cells, drift) must invalidate the cached differential conductances and
 //! change what the concurrent-test detector observes.
 
-use healthmon::{BackendSpec, CrossbarConfig, Detector, InferenceBackend, TestPatternSet};
+use healthmon::{
+    BackendKind, BackendSpec, CrossbarConfig, Detector, InferenceBackend, TestPatternSet,
+};
 use healthmon_nn::models::{convnet7, lenet5, tiny_mlp};
 use healthmon_nn::zoo;
-use healthmon_reram::{AnalogBackend, BitSlicedBackend, CellFault};
+use healthmon_repair::{DefectMap, StuckCell};
+use healthmon_reram::{CellFault, MappedNetwork};
 use healthmon_tensor::{SeededRng, Tensor};
 
 /// Exact-mode analog spec large enough for every paper-scale layer
@@ -36,7 +39,7 @@ fn exact_analog_is_bit_identical_to_digital_on_lenet5() {
     let mut rng = SeededRng::new(11);
     let net = lenet5(&mut rng);
     let images = Tensor::rand_uniform(&[4, 1, 28, 28], 0.0, 1.0, &mut rng);
-    let backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+    let backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
     assert_bitwise_eq(&net.infer(&images), &backend.infer(&images), "lenet5");
 }
 
@@ -45,7 +48,7 @@ fn exact_analog_is_bit_identical_to_digital_on_convnet7() {
     let mut rng = SeededRng::new(12);
     let net = convnet7(&mut rng);
     let images = Tensor::rand_uniform(&[3, 3, 32, 32], 0.0, 1.0, &mut rng);
-    let backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+    let backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
     assert_bitwise_eq(&net.infer(&images), &backend.infer(&images), "convnet7");
 }
 
@@ -53,7 +56,7 @@ fn exact_analog_is_bit_identical_to_digital_on_convnet7() {
 fn exact_analog_readback_matches_digital_weights() {
     let mut rng = SeededRng::new(13);
     let net = lenet5(&mut rng);
-    let backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+    let backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
     let digital = net.state_dict();
     let readback = backend.readback().state_dict();
     for ((dk, dt), (rk, rt)) in digital.iter().zip(&readback) {
@@ -82,7 +85,7 @@ fn live_analog_faults_change_detection_responses() {
     let detector = Detector::new(&net, patterns);
 
     let spec = BackendSpec::analog(CrossbarConfig::exact());
-    let mut backend = AnalogBackend::program(&net, &spec, &mut rng);
+    let mut backend = MappedNetwork::program(&net, &spec, &mut rng);
 
     // Freshly programmed exact-mode backend: indistinguishable from the
     // golden network. This evaluation also populates the conductance
@@ -116,7 +119,7 @@ fn live_analog_faults_flip_the_verdict() {
         TestPatternSet::new("t", Tensor::rand_uniform(&[8, 16], 0.0, 1.0, &mut rng));
     let detector = Detector::new(&net, patterns);
     let spec = BackendSpec::analog(CrossbarConfig::exact());
-    let mut backend = AnalogBackend::program(&net, &spec, &mut rng);
+    let mut backend = MappedNetwork::program(&net, &spec, &mut rng);
     let criterion = SdcCriterion::SdcA { threshold: 1e-4 };
     assert!(!detector.is_faulty(&backend, criterion), "fresh exact backend is healthy");
     backend.inject_stuck_cells(CellFault::StuckHigh, 0.25, &mut rng);
@@ -140,7 +143,7 @@ fn exact_analog_is_bit_identical_to_digital_for_every_zoo_model() {
         let mut rng = SeededRng::new(31 + i as u64);
         let net = spec.build(&mut rng);
         let images = zoo_probes(spec, 3, &mut rng);
-        let backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+        let backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
         assert_bitwise_eq(&net.infer(&images), &backend.infer(&images), spec.name);
     }
 }
@@ -167,8 +170,8 @@ fn bitsliced_is_deterministic_and_bounded_for_every_zoo_model() {
         let net = spec.build(&mut rng);
         let images = zoo_probes(spec, 3, &mut rng);
 
-        let a = BitSlicedBackend::program(&net, &spec16, &mut rng.fork(1)).infer(&images);
-        let b = BitSlicedBackend::program(&net, &spec16, &mut rng.fork(1)).infer(&images);
+        let a = MappedNetwork::program(&net, &spec16, &mut rng.fork(1)).infer(&images);
+        let b = MappedNetwork::program(&net, &spec16, &mut rng.fork(1)).infer(&images);
         assert_bitwise_eq(&a, &b, &format!("{} (same-seed bitsliced reprogram)", spec.name));
 
         let digital = net.infer(&images);
@@ -188,7 +191,7 @@ fn stuck_cells_flip_the_verdict_for_every_zoo_model() {
         let net = spec.build(&mut rng);
         let patterns = TestPatternSet::new("zoo", zoo_probes(spec, 4, &mut rng));
         let detector = Detector::new(&net, patterns);
-        let mut backend = AnalogBackend::program(&net, &exact_spec(), &mut rng);
+        let mut backend = MappedNetwork::program(&net, &exact_spec(), &mut rng);
         let criterion = SdcCriterion::SdcA { threshold: 1e-4 };
         assert!(
             !detector.is_faulty(&backend, criterion),
@@ -201,5 +204,65 @@ fn stuck_cells_flip_the_verdict_for_every_zoo_model() {
             "{}: stuck cells must flip the verdict",
             spec.name
         );
+    }
+}
+
+/// The device surface is one operation set on every backend: cells
+/// pinned through `ActiveBackend::stick_cell` (logical coordinates under
+/// a row assignment) read back exactly like the weight-space defect model
+/// `DefectMap::apply_with_assignment` — bitwise on digital and on exact
+/// analog crossbars, reproducibly per seed on bit-sliced ones — and a
+/// layer written through `ActiveBackend::write_layer` becomes the
+/// device's network image.
+#[test]
+fn device_surface_sticks_and_writes_on_every_backend() {
+    let mut rng = SeededRng::new(61);
+    let net = zoo::lookup("mlp").unwrap().build(&mut rng);
+    let key = "layer0.weight";
+    let golden = net.param(key).unwrap().clone();
+    let (rows, cols) = (golden.shape()[0], golden.shape()[1]);
+    let w_max = golden.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    // Logical row r lives on physical row r + 1 (wrapping).
+    let assignment: Vec<usize> = (0..rows).map(|r| (r + 1) % rows).collect();
+    let mut logical_of = vec![0; rows];
+    for (logical, &physical) in assignment.iter().enumerate() {
+        logical_of[physical] = logical;
+    }
+    let defects = DefectMap::new(vec![
+        StuckCell { row: 0, col: 1, value: w_max },
+        StuckCell { row: 5, col: 0, value: 0.0 },
+        StuckCell { row: rows - 1, col: cols - 1, value: -w_max },
+    ]);
+    let expected = defects.apply_with_assignment(&golden, &assignment);
+    let fresh = Tensor::rand_uniform(golden.shape(), -w_max, w_max, &mut rng);
+    let specs = [
+        BackendSpec::digital(),
+        exact_spec(),
+        BackendSpec::bitsliced(CrossbarConfig::default(), 8),
+    ];
+    for spec in specs {
+        let label = spec.kind.label();
+        let stuck_readback = |seed: u64| {
+            let mut device = spec.instantiate(&net, &mut SeededRng::new(seed));
+            for cell in defects.cells() {
+                device.stick_cell(key, logical_of[cell.row], cell.col, cell.value);
+            }
+            device.readback().param(key).unwrap().clone()
+        };
+        let readback = stuck_readback(7);
+        match spec.kind {
+            BackendKind::Digital | BackendKind::Analog => {
+                assert_bitwise_eq(&expected, &readback, &format!("{label} stuck read-back"));
+            }
+            BackendKind::BitSliced => assert_bitwise_eq(
+                &readback,
+                &stuck_readback(7),
+                &format!("{label} same-seed stuck read-back"),
+            ),
+        }
+
+        let mut device = spec.instantiate(&net, &mut SeededRng::new(8));
+        device.write_layer(key, &fresh, &mut SeededRng::new(9));
+        assert_eq!(device.network().param(key), Some(&fresh), "{label}: written weights");
     }
 }
