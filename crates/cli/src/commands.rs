@@ -180,15 +180,20 @@ fn parse_fault(spec: &str) -> Result<FaultModel, String> {
         .split(',')
         .map(|p| p.parse().map_err(|_| format!("bad number `{p}` in fault spec")))
         .collect::<Result<_, _>>()?;
-    match (kind, nums.as_slice()) {
-        ("pv", [sigma]) => Ok(FaultModel::ProgrammingVariation { sigma: *sigma as f32 }),
-        ("soft", [p]) => Ok(FaultModel::RandomSoftError { probability: *p }),
-        ("stuck", [sa0, sa1]) => Ok(FaultModel::StuckAt { sa0: *sa0, sa1: *sa1 }),
-        ("drift", [nu, t]) => Ok(FaultModel::Drift { nu: *nu as f32, time: *t as f32 }),
-        _ => Err(format!(
-            "unknown fault `{spec}` (pv:<sigma> | soft:<p> | stuck:<sa0>,<sa1> | drift:<nu>,<t>)"
-        )),
-    }
+    let model = match (kind, nums.as_slice()) {
+        ("pv", [sigma]) => FaultModel::ProgrammingVariation { sigma: *sigma as f32 },
+        ("soft", [p]) => FaultModel::RandomSoftError { probability: *p },
+        ("stuck", [sa0, sa1]) => FaultModel::StuckAt { sa0: *sa0, sa1: *sa1 },
+        ("drift", [nu, t]) => FaultModel::Drift { nu: *nu as f32, time: *t as f32 },
+        _ => {
+            return Err(format!(
+                "unknown fault `{spec}` (pv:<sigma> | soft:<p> | stuck:<sa0>,<sa1> | drift:<nu>,<t>)"
+            ))
+        }
+    };
+    // `as f32` turns an out-of-range value such as 1e300 into infinity.
+    model.validate().map_err(|e| format!("fault spec `{spec}`: {e}"))?;
+    Ok(model)
 }
 
 /// Resolves the telemetry switches shared by the instrumented
@@ -1220,6 +1225,26 @@ mod tests {
         assert!(parse_fault("pv:a").is_err());
         assert!(parse_fault("nope:1").is_err());
         assert!(parse_fault("stuck:0.1").is_err());
+    }
+
+    #[test]
+    fn fault_spec_rejects_non_finite_parameters() {
+        // 1e300 parses as f64 but overflows to infinity as f32.
+        for (spec, param) in [
+            ("drift:1e300,1", "nu"),
+            ("drift:0.1,1e300", "time"),
+            ("drift:inf,1", "nu"),
+            ("drift:0.1,NaN", "time"),
+            ("pv:1e300", "sigma"),
+            ("pv:inf", "sigma"),
+            ("pv:NaN", "sigma"),
+            ("pv:-0.1", "sigma"),
+        ] {
+            let err = parse_fault(spec).expect_err(spec);
+            assert!(err.contains(&format!("{param} must be finite")), "{spec}: {err}");
+        }
+        assert!(parse_fault("soft:inf").is_err());
+        assert!(parse_fault("stuck:NaN,0").is_err());
     }
 
     #[test]

@@ -80,10 +80,12 @@ static REPAIRS_SUCCEEDED: tel::Counter =
     tel::Counter::new("lifetime.repairs.succeeded", tel::Stability::Stable);
 static EPOCH_NS: tel::Histogram =
     tel::Histogram::new("lifetime.epoch_ns", tel::Stability::Volatile);
-// Latency attribution across the checkup pipeline (DESIGN.md §7): the
-// digital-side phases live here, the converter-side phases
+// Latency attribution across the epoch (DESIGN.md §7): aging and the
+// digital-side checkup phases live here, the converter-side phases
 // (phase.dac/accumulate/adc) on the crossbar. All wall-clock, all
 // Volatile.
+static PHASE_AGING_NS: tel::Histogram =
+    tel::Histogram::new("phase.aging_ns", tel::Stability::Volatile);
 static PHASE_DETECTOR_NS: tel::Histogram =
     tel::Histogram::new("phase.detector_ns", tel::Stability::Volatile);
 static PHASE_DIAGNOSE_NS: tel::Histogram =
@@ -1076,6 +1078,7 @@ impl LifetimeRuntime {
     /// seed and the epoch number, so aging is a pure function of
     /// `(seed, epoch)` and checkpoints need no RNG state.
     fn age(&mut self, epoch: usize) {
+        let _timer = tel::timed(&PHASE_AGING_NS);
         let aging = self.config.aging;
         let mut epoch_rng = SeededRng::new(self.config.seed).fork(epoch as u64);
         if aging.drift_nu > 0.0 && aging.drift_time > 0.0 {

@@ -75,23 +75,23 @@ impl FaultModel {
     ///
     /// # Panics
     ///
-    /// Panics if a parameter of the model is out of range (negative σ,
-    /// probability outside `[0, 1]`, `sa0 + sa1 > 1`, or negative drift
-    /// parameters).
+    /// Panics if [`FaultModel::validate`] rejects a parameter (negative
+    /// or non-finite σ, probability outside `[0, 1]`, `sa0 + sa1 > 1`, or
+    /// negative or non-finite drift parameters).
     pub fn apply(&self, net: &mut Network, rng: &mut SeededRng) {
-        self.validate();
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         match self {
             FaultModel::ProgrammingVariation { sigma } => {
-                // One bulk draw per tensor: the block sampler is several
-                // times faster than a per-weight `lognormal()` call, and
-                // this loop is the dominant cost of a fault campaign.
-                let mut factors = Vec::new();
+                // One streamed draw per tensor: the block sampler is
+                // several times faster than a per-weight `lognormal()`
+                // call, and this loop is the dominant cost of a fault
+                // campaign.
                 for_each_weight(net, |t| {
-                    factors.resize(t.len(), 0.0);
-                    rng.fill_lognormal(&mut factors, 0.0, *sigma);
-                    for (w, &f) in t.as_mut_slice().iter_mut().zip(&factors) {
-                        *w *= f;
-                    }
+                    rng.apply_normal(&mut [t.as_mut_slice()], 0.0, *sigma, |w, z| {
+                        *w *= fastmath::exp(z);
+                    });
                 });
                 PV_APPLIED.inc();
             }
@@ -128,14 +128,13 @@ impl FaultModel {
                 });
                 STUCK_AT_CELLS.add(stuck);
             }
-            FaultModel::Drift { nu, time } => {
-                let mut rates = Vec::new();
+            // Bound by value: the update would reload a captured `&f32`
+            // on every weight, which keeps it from vectorizing.
+            &FaultModel::Drift { nu, time } => {
                 for_each_weight(net, |t| {
-                    rates.resize(t.len(), 0.0);
-                    rng.fill_normal(&mut rates, 0.0, *nu);
-                    for (w, &z) in t.as_mut_slice().iter_mut().zip(&rates) {
+                    rng.apply_normal(&mut [t.as_mut_slice()], 0.0, nu, |w, z| {
                         *w *= fastmath::exp(-z.abs() * time);
-                    }
+                    });
                 });
                 DRIFT_APPLIED.inc();
             }
@@ -162,25 +161,32 @@ impl FaultModel {
         }
     }
 
-    fn validate(&self) {
+    /// Checks every parameter of the model, recursing into
+    /// [`FaultModel::Compound`] members; the error names the first bad
+    /// parameter. σ, ν and `t` must be finite: an infinite σ overflows
+    /// the weights and an infinite drift zeroes them, with no other sign.
+    pub fn validate(&self) -> Result<(), String> {
+        let finite = |name: &str, v: f32| match v.is_finite() && v >= 0.0 {
+            true => Ok(()),
+            false => Err(format!("{name} must be finite and non-negative, got {v}")),
+        };
         match self {
-            FaultModel::ProgrammingVariation { sigma } => {
-                assert!(*sigma >= 0.0, "sigma must be non-negative, got {sigma}");
+            FaultModel::ProgrammingVariation { sigma } => finite("sigma", *sigma),
+            FaultModel::RandomSoftError { probability } if !(0.0..=1.0).contains(probability) => {
+                Err(format!("probability {probability} outside [0, 1]"))
             }
-            FaultModel::RandomSoftError { probability } => {
-                assert!(
-                    (0.0..=1.0).contains(probability),
-                    "probability {probability} outside [0, 1]"
-                );
+            FaultModel::StuckAt { sa0, sa1 } if !(*sa0 >= 0.0 && *sa1 >= 0.0 && sa0 + sa1 <= 1.0) => {
+                Err(format!(
+                    "stuck-at fractions must be non-negative and sum to at most 1, \
+                     got sa0={sa0}, sa1={sa1}"
+                ))
             }
-            FaultModel::StuckAt { sa0, sa1 } => {
-                assert!(*sa0 >= 0.0 && *sa1 >= 0.0 && sa0 + sa1 <= 1.0,
-                    "stuck-at fractions must be non-negative and sum to at most 1, got sa0={sa0}, sa1={sa1}");
-            }
+            FaultModel::RandomSoftError { .. } | FaultModel::StuckAt { .. } => Ok(()),
             FaultModel::Drift { nu, time } => {
-                assert!(*nu >= 0.0 && *time >= 0.0, "drift parameters must be non-negative");
+                finite("nu", *nu)?;
+                finite("time", *time)
             }
-            FaultModel::Compound(_) => {}
+            FaultModel::Compound(members) => members.iter().try_for_each(FaultModel::validate),
         }
     }
 }
@@ -466,5 +472,59 @@ mod tests {
     #[should_panic(expected = "sum to at most 1")]
     fn rejects_bad_stuck_fractions() {
         FaultModel::StuckAt { sa0: 0.7, sa1: 0.7 }.apply(&mut golden(), &mut SeededRng::new(0));
+    }
+
+    /// FNV-1a over the exact bit patterns of every weight.
+    fn weight_digest(net: &Network) -> u64 {
+        weight_vec(net).iter().flat_map(|w| w.to_bits().to_le_bytes()).fold(
+            0xcbf2_9ce4_8422_2325,
+            |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3),
+        )
+    }
+
+    #[test]
+    fn per_weight_sampling_matches_pinned_digests() {
+        // Pinned from the two-pass bulk sampler that the streamed one
+        // replaced. The 600- and 300-weight layers cover full sampler
+        // blocks and the pairwise remainder.
+        let cases = [
+            (FaultModel::Drift { nu: 0.3, time: 1.0 }, 11, 0x7363_5730_3383_66ddu64),
+            (FaultModel::Drift { nu: 0.05, time: 4.0 }, 12, 0x1d42_0bea_58ae_35fc),
+            (FaultModel::ProgrammingVariation { sigma: 0.2 }, 13, 0x39da_b5f0_56d8_69c9),
+            (FaultModel::ProgrammingVariation { sigma: 0.6 }, 14, 0xba2e_1c8f_9a68_a372),
+        ];
+        for (model, seed, want) in cases {
+            let mut net = tiny_mlp(20, 30, 10, &mut SeededRng::new(5));
+            model.apply(&mut net, &mut SeededRng::new(seed));
+            assert_eq!(weight_digest(&net), want, "{} at seed {seed}", model.describe());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_parameters() {
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            for (model, param) in [
+                (FaultModel::ProgrammingVariation { sigma: bad }, "sigma"),
+                (FaultModel::Drift { nu: bad, time: 1.0 }, "nu"),
+                (FaultModel::Drift { nu: 0.1, time: bad }, "time"),
+                (FaultModel::Compound(vec![FaultModel::Drift { nu: bad, time: 1.0 }]), "nu"),
+            ] {
+                let err = model.validate().expect_err(&model.describe());
+                assert!(err.starts_with(param), "{}: {err}", model.describe());
+            }
+        }
+        for bad in [f64::INFINITY, f64::NAN] {
+            assert!(FaultModel::RandomSoftError { probability: bad }.validate().is_err());
+            assert!(FaultModel::StuckAt { sa0: bad, sa1: 0.0 }.validate().is_err());
+            assert!(FaultModel::StuckAt { sa0: 0.0, sa1: bad }.validate().is_err());
+        }
+        assert_eq!(FaultModel::Drift { nu: 0.0, time: 0.0 }.validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "time must be finite")]
+    fn rejects_infinite_drift_time() {
+        FaultModel::Drift { nu: 0.1, time: f32::INFINITY }
+            .apply(&mut golden(), &mut SeededRng::new(0));
     }
 }

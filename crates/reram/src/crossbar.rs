@@ -467,18 +467,13 @@ impl Crossbar {
             });
         }
         if config.write_noise > 0.0 {
-            // Bulk write-noise pass: one block-sampled lognormal draw per
+            // Bulk write-noise pass: one block-sampled lognormal factor per
             // cell instead of two scalar draws inside the programming loop.
-            let mut noise = vec![0.0f32; g_pos.len() + g_neg.len()];
-            rng.fill_lognormal(&mut noise, 0.0, config.write_noise);
-            for (g, &f) in g_pos
-                .as_mut_slice()
-                .iter_mut()
-                .chain(g_neg.as_mut_slice())
-                .zip(&noise)
-            {
-                *g = (*g * f).clamp(config.g_min, config.g_max);
-            }
+            let (lo, hi) = (config.g_min, config.g_max);
+            let planes = &mut [g_pos.as_mut_slice(), g_neg.as_mut_slice()];
+            rng.apply_normal(planes, 0.0, config.write_noise, |g, z| {
+                *g = (*g * fastmath::exp(z)).clamp(lo, hi);
+            });
         }
         XBAR_PROGRAMS.inc();
         XBAR_PROGRAM_CELLS.add((rows * cols) as u64);
@@ -981,21 +976,14 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `sigma < 0`.
+    /// Panics if `sigma` is negative or not finite.
     pub fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
-        assert!(sigma >= 0.0, "sigma must be non-negative");
+        assert!(sigma.is_finite() && sigma >= 0.0, "sigma must be finite and non-negative");
         let (lo, hi) = (self.config.g_min, self.config.g_max);
-        let mut factors = vec![0.0f32; self.g_pos.len() + self.g_neg.len()];
-        rng.fill_lognormal(&mut factors, 0.0, sigma);
-        for (g, &f) in self
-            .g_pos
-            .as_mut_slice()
-            .iter_mut()
-            .chain(self.g_neg.as_mut_slice())
-            .zip(&factors)
-        {
-            *g = (*g * f).clamp(lo, hi);
-        }
+        let planes = &mut [self.g_pos.as_mut_slice(), self.g_neg.as_mut_slice()];
+        rng.apply_normal(planes, 0.0, sigma, |g, z| {
+            *g = (*g * fastmath::exp(z)).clamp(lo, hi);
+        });
         DISTURB_EVENTS.inc();
         self.invalidate_cache();
     }
@@ -1006,21 +994,17 @@ impl Crossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `nu` or `time` is negative.
+    /// Panics if `nu` or `time` is negative or not finite.
     pub fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-        assert!(nu >= 0.0 && time >= 0.0, "drift parameters must be non-negative");
+        assert!(
+            nu.is_finite() && nu >= 0.0 && time.is_finite() && time >= 0.0,
+            "drift parameters must be finite and non-negative"
+        );
         let lo = self.config.g_min;
-        let mut rates = vec![0.0f32; self.g_pos.len() + self.g_neg.len()];
-        rng.fill_normal(&mut rates, 0.0, nu);
-        for (g, &z) in self
-            .g_pos
-            .as_mut_slice()
-            .iter_mut()
-            .chain(self.g_neg.as_mut_slice())
-            .zip(&rates)
-        {
+        let planes = &mut [self.g_pos.as_mut_slice(), self.g_neg.as_mut_slice()];
+        rng.apply_normal(planes, 0.0, nu, |g, z| {
             *g = lo + (*g - lo) * fastmath::exp(-z.abs() * time);
-        }
+        });
         DRIFT_EVENTS.inc();
         self.invalidate_cache();
     }
@@ -1260,6 +1244,30 @@ mod tests {
         let xbar = Crossbar::program(&w, &config, &mut rng);
         let dist = w.l1_distance(&xbar.effective_weights());
         assert!(dist > 0.1, "write noise had no effect: {dist}");
+    }
+
+    /// FNV-1a over the exact bit patterns of `g_pos` then `g_neg`.
+    fn plane_digest(xbar: &Crossbar) -> u64 {
+        let planes = xbar.g_pos.as_slice().iter().chain(xbar.g_neg.as_slice());
+        planes.flat_map(|g| g.to_bits().to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn per_cell_sampling_matches_pinned_digests() {
+        // Pinned from the two-pass bulk sampler that the streamed one
+        // replaced. 20×13 cells per plane: the 520-variate stream has
+        // full blocks, one block straddling the g_pos/g_neg boundary, and
+        // a pairwise remainder.
+        let w = Tensor::randn(&[20, 13], &mut SeededRng::new(4));
+        let config = CrossbarConfig { write_noise: 0.1, cell_bits: 16, dac_bits: 0, adc_bits: 0, ..CrossbarConfig::default() };
+        let mut xbar = Crossbar::program(&w, &config, &mut SeededRng::new(5));
+        assert_eq!(plane_digest(&xbar), 0x102a_366c_f53b_10b8, "write noise");
+        xbar.drift(0.3, 1.0, &mut SeededRng::new(6));
+        assert_eq!(plane_digest(&xbar), 0x9fdf_613d_38cc_f2ac, "drift");
+        xbar.disturb(0.2, &mut SeededRng::new(7));
+        assert_eq!(plane_digest(&xbar), 0x08c5_2281_da77_b7c8, "disturb");
     }
 
     #[test]

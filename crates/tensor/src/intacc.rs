@@ -33,19 +33,6 @@ static I32_BLOCKS_SCALAR: tel::Counter =
 /// needs a masked tail.
 pub const LANES: usize = 8;
 
-/// Whether the running CPU supports AVX2 (checked once per process).
-#[cfg(target_arch = "x86_64")]
-pub fn avx2_available() -> bool {
-    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-/// Whether the running CPU supports AVX2 (always false off x86-64).
-#[cfg(not(target_arch = "x86_64"))]
-pub fn avx2_available() -> bool {
-    false
-}
-
 /// Accumulates one row block of the integer crossbar product:
 /// `acc[j] += Σ_i x[i] · w[i·width + j]` for every `j < width`.
 ///
@@ -63,9 +50,9 @@ pub fn accumulate_rows(x: &[i32], w: &[i16], width: usize, acc: &mut [i32]) {
     assert_eq!(acc.len(), width, "accumulator width mismatch");
     assert_eq!(w.len(), x.len() * width, "weight-code block shape mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if crate::cpu::avx2() {
         I32_BLOCKS_AVX2.inc();
-        // SAFETY: `avx2_available()` verified CPU support; the asserts
+        // SAFETY: `cpu::avx2()` verified CPU support; the asserts
         // above establish the exact bounds the vector loop walks.
         unsafe { accumulate_rows_avx2(x, w, width, acc) };
         return;
@@ -100,9 +87,9 @@ pub fn accumulate_rows_x4(x: [&[i32]; 4], w: &[i16], width: usize, acc: &mut [i3
     assert!(x.iter().all(|xi| xi.len() == rows), "DAC-code rows differ in length");
     assert_eq!(w.len(), rows * width, "weight-code block shape mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if crate::cpu::avx2() {
         I32_BLOCKS_AVX2.add(4);
-        // SAFETY: `avx2_available()` verified CPU support; the asserts
+        // SAFETY: `cpu::avx2()` verified CPU support; the asserts
         // above establish the exact bounds the vector loop walks.
         unsafe { accumulate_rows_x4_avx2(x, w, width, acc) };
         return;

@@ -26,6 +26,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(target_arch = "x86_64")]
+mod cpu;
 mod error;
 pub mod intacc;
 mod linalg;

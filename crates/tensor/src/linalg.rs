@@ -135,12 +135,6 @@ mod avx {
         _mm256_setzero_ps, _mm256_storeu_ps,
     };
 
-    /// Whether the running CPU supports AVX (checked once per process).
-    pub fn available() -> bool {
-        static AVX: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
-    }
-
     /// Stores one accumulator row into `w` output columns.
     #[target_feature(enable = "avx")]
     unsafe fn store_row(acc: __m256, dst: &mut [f32], w: usize) {
@@ -225,9 +219,9 @@ mod avx {
 /// full panel-packed right operand.
 fn gemm_rows(a: &[f32], packed: &[f32], c: &mut [f32], r0: usize, r1: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
-    if avx::available() {
+    if crate::cpu::avx() {
         GEMM_BLOCKS_AVX.inc();
-        // SAFETY: `avx::available()` verified CPU support; the tile
+        // SAFETY: `cpu::avx()` verified CPU support; the tile
         // functions uphold the same slice bounds as the portable kernel.
         unsafe { gemm_rows_avx(a, packed, c, r0, r1, k, n) };
         return;

@@ -34,8 +34,8 @@ pub struct SeededRng {
     spare_normal: Option<f32>,
 }
 
-/// Pairs of Box–Muller variates computed per block by the bulk samplers;
-/// sized so the scratch buffers live comfortably in L1.
+/// Pairs of Box–Muller variates computed per block by
+/// [`SeededRng::apply_normal`]; sized so a block lives comfortably in L1.
 const BM_BLOCK: usize = 64;
 
 /// One Box–Muller pair from two raw 64-bit draws, on the fast polynomial
@@ -183,66 +183,137 @@ impl SeededRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Fills `out` with independent `N(mean, std_dev²)` samples — the bulk
-    /// counterpart of [`SeededRng::normal`] for the per-weight error
-    /// models, where sampling cost dominates whole campaigns.
+    /// Draws one independent `N(mean, std_dev²)` sample `z` per element
+    /// `x` of `planes`, taken in order as one concatenated stream, and
+    /// applies `update(x, z)`. This is the bulk sampler of the per-weight
+    /// and per-cell error models. Samples are made 128 at a time and
+    /// consumed while still in L1, so callers keep no scratch buffer.
     ///
-    /// Draws from the same underlying xoshiro stream (two raw draws per
-    /// Box–Muller pair) but computes the transform with the vectorizable
-    /// polynomial approximations in [`crate::fastmath`], so the values
-    /// differ from repeated [`SeededRng::normal`] calls in the last few
-    /// ulps and in draw order. The procedure is fully deterministic for a
-    /// given seed and length; it neither reads nor writes the cached
-    /// spare variate of the scalar sampler.
+    /// A full block is 64 Box–Muller pairs, two raw draws each, cosine
+    /// halves first; a shorter last block is filled pair by pair, and an
+    /// odd length drops the last sine half. The transform uses
+    /// [`crate::fastmath`], so values differ from [`SeededRng::normal`]
+    /// in the last ulps and in draw order; the stream depends only on the
+    /// seed and the total length, and leaves the scalar sampler's spare
+    /// variate alone. CPUs with AVX2 run a copy compiled for 256-bit
+    /// vectors that performs the same unfused IEEE operations per
+    /// element, so results are bit-identical on every CPU.
     ///
     /// # Panics
     ///
     /// Panics if `std_dev < 0`.
-    pub fn fill_normal(&mut self, out: &mut [f32], mean: f32, std_dev: f32) {
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use healthmon_tensor::{fastmath, SeededRng};
+    ///
+    /// // Lognormal multiplicative noise w' = w · e^θ, θ ~ N(0, 0.1²).
+    /// let mut weights = vec![0.5f32; 300];
+    /// SeededRng::new(7).apply_normal(&mut [&mut weights], 0.0, 0.1, |w, z| {
+    ///     *w *= fastmath::exp(z);
+    /// });
+    /// assert!(weights.iter().all(|&w| w > 0.0 && w != 0.5));
+    /// ```
+    pub fn apply_normal<F: FnMut(&mut f32, f32)>(
+        &mut self,
+        planes: &mut [&mut [f32]],
+        mean: f32,
+        std_dev: f32,
+        update: F,
+    ) {
         assert!(std_dev >= 0.0, "negative standard deviation {std_dev}");
-        const SCALE: f32 = 1.0 / (1u64 << 24) as f32;
-        let mut u1 = [0f32; BM_BLOCK];
-        let mut u2 = [0f32; BM_BLOCK];
-        let mut chunks = out.chunks_exact_mut(2 * BM_BLOCK);
-        for chunk in &mut chunks {
-            // Raw draws first (a serial dependency chain, converted to f32
-            // here so the block below is float-only), then the pure math,
-            // which LLVM auto-vectorizes.
-            for (a, b) in u1.iter_mut().zip(u2.iter_mut()) {
-                *a = ((self.next_u64() >> 40) as f32 + 1.0) * SCALE;
-                *b = (self.next_u64() >> 40) as f32 * SCALE;
-            }
-            let (lo, hi) = chunk.split_at_mut(BM_BLOCK);
-            for i in 0..BM_BLOCK {
-                let r = (-2.0 * crate::fastmath::ln(u1[i])).sqrt();
-                let (s, c) = crate::fastmath::sincos_2pi(u2[i]);
-                lo[i] = mean + std_dev * (r * c);
-                hi[i] = mean + std_dev * (r * s);
-            }
+        #[cfg(target_arch = "x86_64")]
+        if crate::cpu::avx2() {
+            // SAFETY: `cpu::avx2()` verified CPU support.
+            unsafe { self.apply_normal_avx2(planes, mean, std_dev, update) };
+            return;
         }
-        let rem = chunks.into_remainder();
-        let mut i = 0;
-        while i < rem.len() {
-            let (z0, z1) = box_muller(self.next_u64(), self.next_u64());
-            rem[i] = mean + std_dev * z0;
-            if i + 1 < rem.len() {
-                rem[i + 1] = mean + std_dev * z1;
+        self.apply_normal_body(planes, mean, std_dev, update);
+    }
+
+    /// [`SeededRng::apply_normal`] compiled for AVX2 (no FMA).
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn apply_normal_avx2<F: FnMut(&mut f32, f32)>(
+        &mut self,
+        planes: &mut [&mut [f32]],
+        mean: f32,
+        std_dev: f32,
+        update: F,
+    ) {
+        self.apply_normal_body(planes, mean, std_dev, update);
+    }
+
+    /// The block loop behind both dispatch targets of
+    /// [`SeededRng::apply_normal`].
+    #[inline(always)]
+    fn apply_normal_body<F: FnMut(&mut f32, f32)>(
+        &mut self,
+        planes: &mut [&mut [f32]],
+        mean: f32,
+        std_dev: f32,
+        mut update: F,
+    ) {
+        let mut remaining: usize = planes.iter().map(|p| p.len()).sum();
+        let mut block = [0f32; 2 * BM_BLOCK];
+        // Cursor into the concatenated planes: plane index, offset in it.
+        let (mut plane, mut offset) = (0, 0);
+        while remaining > 0 {
+            let n = remaining.min(2 * BM_BLOCK);
+            if n == 2 * BM_BLOCK {
+                self.box_muller_block(&mut block, mean, std_dev);
+            } else {
+                for pair in block[..n].chunks_mut(2) {
+                    let (z0, z1) = box_muller(self.next_u64(), self.next_u64());
+                    pair[0] = mean + std_dev * z0;
+                    if let Some(v) = pair.get_mut(1) {
+                        *v = mean + std_dev * z1;
+                    }
+                }
             }
-            i += 2;
+            let mut z = &block[..n];
+            while !z.is_empty() {
+                let dst = &mut planes[plane][offset..];
+                let k = dst.len().min(z.len());
+                for (x, &v) in dst[..k].iter_mut().zip(&z[..k]) {
+                    update(x, v);
+                }
+                z = &z[k..];
+                offset += k;
+                if offset == planes[plane].len() {
+                    plane += 1;
+                    offset = 0;
+                }
+            }
+            remaining -= n;
         }
     }
 
-    /// Fills `out` with independent lognormal samples `e^N(mu, sigma²)` —
-    /// the bulk counterpart of [`SeededRng::lognormal`], with the same
-    /// stream semantics as [`SeededRng::fill_normal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma < 0`.
-    pub fn fill_lognormal(&mut self, out: &mut [f32], mu: f32, sigma: f32) {
-        self.fill_normal(out, mu, sigma);
-        for v in out.iter_mut() {
-            *v = crate::fastmath::exp(*v);
+    /// One full block of `BM_BLOCK` Box–Muller pairs: cosine halves into
+    /// `out[..BM_BLOCK]`, sine halves into `out[BM_BLOCK..]`.
+    #[inline(always)]
+    fn box_muller_block(&mut self, out: &mut [f32; 2 * BM_BLOCK], mean: f32, std_dev: f32) {
+        const SCALE: f32 = 1.0 / (1u64 << 24) as f32;
+        let mut u1 = [0f32; BM_BLOCK];
+        let mut u2 = [0f32; BM_BLOCK];
+        // Raw draws first (a serial dependency chain, converted to f32
+        // here so the loop below is float-only), then the pure math,
+        // which LLVM vectorizes.
+        for (a, b) in u1.iter_mut().zip(u2.iter_mut()) {
+            *a = ((self.next_u64() >> 40) as f32 + 1.0) * SCALE;
+            *b = (self.next_u64() >> 40) as f32 * SCALE;
+        }
+        let (lo, hi) = out.split_at_mut(BM_BLOCK);
+        for i in 0..BM_BLOCK {
+            let r = (-2.0 * crate::fastmath::ln(u1[i])).sqrt();
+            let (s, c) = crate::fastmath::sincos_2pi(u2[i]);
+            lo[i] = mean + std_dev * (r * c);
+            hi[i] = mean + std_dev * (r * s);
         }
     }
 
@@ -357,11 +428,108 @@ mod tests {
         assert!((median - 1.0).abs() < 0.05, "median {median}");
     }
 
+    /// The two-pass `fill_normal` that `apply_normal` replaced, frozen as
+    /// the oracle its stream must reproduce bit for bit: full blocks of
+    /// `2·BM_BLOCK` samples into a buffer, then a pairwise scalar
+    /// remainder.
+    fn fill_normal_oracle(rng: &mut SeededRng, out: &mut [f32], mean: f32, std_dev: f32) {
+        const SCALE: f32 = 1.0 / (1u64 << 24) as f32;
+        let mut u1 = [0f32; BM_BLOCK];
+        let mut u2 = [0f32; BM_BLOCK];
+        let mut chunks = out.chunks_exact_mut(2 * BM_BLOCK);
+        for chunk in &mut chunks {
+            for (a, b) in u1.iter_mut().zip(u2.iter_mut()) {
+                *a = ((rng.next_u64() >> 40) as f32 + 1.0) * SCALE;
+                *b = (rng.next_u64() >> 40) as f32 * SCALE;
+            }
+            let (lo, hi) = chunk.split_at_mut(BM_BLOCK);
+            for i in 0..BM_BLOCK {
+                let r = (-2.0 * crate::fastmath::ln(u1[i])).sqrt();
+                let (s, c) = crate::fastmath::sincos_2pi(u2[i]);
+                lo[i] = mean + std_dev * (r * c);
+                hi[i] = mean + std_dev * (r * s);
+            }
+        }
+        let rem = chunks.into_remainder();
+        let mut i = 0;
+        while i < rem.len() {
+            let (z0, z1) = box_muller(rng.next_u64(), rng.next_u64());
+            rem[i] = mean + std_dev * z0;
+            if i + 1 < rem.len() {
+                rem[i + 1] = mean + std_dev * z1;
+            }
+            i += 2;
+        }
+    }
+
+    /// Collects an `apply_normal` stream of `len` samples.
+    fn streamed(rng: &mut SeededRng, len: usize, mean: f32, std_dev: f32) -> Vec<f32> {
+        let mut out = vec![f32::NAN; len];
+        rng.apply_normal(&mut [&mut out], mean, std_dev, |x, z| *x = z);
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    const ORACLE_LENGTHS: [usize; 11] = [0, 1, 2, 3, 127, 128, 129, 255, 256, 257, 50_176];
+
+    #[test]
+    fn apply_normal_is_bit_identical_to_the_two_pass_oracle() {
+        for seed in [0u64, 1, 7, 2020, u64::MAX] {
+            for len in ORACLE_LENGTHS {
+                for (mean, std_dev) in [(0.0, 1.0), (0.0, 0.3), (-1.5, 2.25)] {
+                    let mut want = vec![0.0f32; len];
+                    let mut oracle_rng = SeededRng::new(seed);
+                    fill_normal_oracle(&mut oracle_rng, &mut want, mean, std_dev);
+                    let mut rng = SeededRng::new(seed);
+                    let got = streamed(&mut rng, len, mean, std_dev);
+                    assert_eq!(bits(&got), bits(&want), "seed {seed}, len {len}");
+                    // Both leave the generator at the same point.
+                    assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "seed {seed}, len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_boundaries_do_not_change_the_stream() {
+        let whole = streamed(&mut SeededRng::new(8), 700, 0.0, 1.0);
+        for cuts in [[0, 0], [0, 700], [1, 699], [128, 256], [200, 201], [300, 555], [700, 700]] {
+            let mut out = vec![f32::NAN; 700];
+            let (a, rest) = out.split_at_mut(cuts[0]);
+            let (b, c) = rest.split_at_mut(cuts[1] - cuts[0]);
+            SeededRng::new(8).apply_normal(&mut [a, b, &mut [], c], 0.0, 1.0, |x, z| *x = z);
+            assert_eq!(bits(&out), bits(&whole), "cuts {cuts:?}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_blocks_match_portable_blocks() {
+        if !crate::cpu::avx2() {
+            return;
+        }
+        for seed in [3u64, 99, 4242] {
+            for len in ORACLE_LENGTHS {
+                let mut portable = vec![1.0f32; len];
+                let mut avx2 = vec![1.0f32; len];
+                // A consumer with its own arithmetic, as the fault models have.
+                let update = |x: &mut f32, z: f32| *x *= crate::fastmath::exp(-z.abs() * 0.7);
+                SeededRng::new(seed).apply_normal_body(&mut [&mut portable], 0.25, 1.5, update);
+                // SAFETY: AVX2 support was checked above.
+                unsafe {
+                    SeededRng::new(seed).apply_normal_avx2(&mut [&mut avx2], 0.25, 1.5, update)
+                };
+                assert_eq!(bits(&avx2), bits(&portable), "seed {seed}, len {len}");
+            }
+        }
+    }
+
     #[test]
     fn fill_normal_moments() {
-        let mut rng = SeededRng::new(7);
-        let mut samples = vec![0.0f32; 20_000];
-        rng.fill_normal(&mut samples, 2.0, 3.0);
+        let samples = streamed(&mut SeededRng::new(7), 20_000, 2.0, 3.0);
         let n = samples.len() as f32;
         let mean = samples.iter().sum::<f32>() / n;
         let var = samples.iter().map(|&x| (x - mean).powi(2)).sum::<f32>() / n;
@@ -372,10 +540,8 @@ mod tests {
     #[test]
     fn fill_normal_deterministic_and_handles_odd_lengths() {
         for len in [0usize, 1, 2, 3, 127, 128, 129, 300] {
-            let mut a = vec![0.0f32; len];
-            let mut b = vec![0.0f32; len];
-            SeededRng::new(31).fill_normal(&mut a, 0.0, 1.0);
-            SeededRng::new(31).fill_normal(&mut b, 0.0, 1.0);
+            let a = streamed(&mut SeededRng::new(31), len, 0.0, 1.0);
+            let b = streamed(&mut SeededRng::new(31), len, 0.0, 1.0);
             assert_eq!(a, b, "length {len} not deterministic");
             assert!(a.iter().all(|v| v.is_finite()), "non-finite sample at length {len}");
         }
@@ -383,16 +549,14 @@ mod tests {
 
     #[test]
     fn fill_normal_zero_std_dev_is_constant() {
-        let mut samples = vec![1.0f32; 300];
-        SeededRng::new(3).fill_normal(&mut samples, 0.25, 0.0);
+        let samples = streamed(&mut SeededRng::new(3), 300, 0.25, 0.0);
         assert!(samples.iter().all(|&v| v == 0.25));
     }
 
     #[test]
     fn fill_lognormal_positive_and_median() {
-        let mut rng = SeededRng::new(21);
-        let mut samples = vec![0.0f32; 20_000];
-        rng.fill_lognormal(&mut samples, 0.0, 0.3);
+        let mut samples = streamed(&mut SeededRng::new(21), 20_000, 0.0, 0.3);
+        samples.iter_mut().for_each(|v| *v = crate::fastmath::exp(*v));
         assert!(samples.iter().all(|&v| v > 0.0));
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = samples[samples.len() / 2];
@@ -402,9 +566,8 @@ mod tests {
     #[test]
     fn fill_lognormal_zero_sigma_is_exact_identity_factor() {
         // The fault models rely on sigma = 0 producing factor 1.0 exactly.
-        let mut samples = vec![0.0f32; 130];
-        SeededRng::new(9).fill_lognormal(&mut samples, 0.0, 0.0);
-        assert!(samples.iter().all(|&v| v == 1.0));
+        let samples = streamed(&mut SeededRng::new(9), 130, 0.0, 0.0);
+        assert!(samples.iter().all(|&v| crate::fastmath::exp(v) == 1.0));
     }
 
     #[test]

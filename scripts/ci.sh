@@ -124,6 +124,15 @@ for t in 1 2 7; do
     cmp "$lt_dir/check_$t.txt" tests/golden/backend_check.txt
 done
 echo "ok: digital check/lifetime byte-identical to the seed goldens under HEALTHMON_THREADS=1/2/7"
+# The analog lifetime golden pins the crossbar's streamed per-cell noise
+# (write noise at program and reprogram time, drift) bit for bit.
+for t in 1 2 7; do
+    HEALTHMON_THREADS=$t "$hm" lifetime --arch mlp --model "$lt_dir/model.json" \
+        --backend analog --drift 0.3 --soft 0.0005 --epochs 6 --count 8 \
+        > "$lt_dir/lifetime_analog_drift_$t.txt"
+    cmp "$lt_dir/lifetime_analog_drift_$t.txt" tests/golden/lifetime_analog_drift.txt
+done
+echo "ok: analog drift lifetime byte-identical to its golden under HEALTHMON_THREADS=1/2/7"
 # Every subcommand of the detect stack runs on every backend.
 for b in digital analog bitsliced; do
     rc=0
@@ -316,6 +325,18 @@ done
 cmp "$fleet_dir/clean_1.txt" "$fleet_dir/clean_2.txt"
 cmp "$fleet_dir/clean_1.txt" "$fleet_dir/clean_7.txt"
 echo "ok: clean fleet byte-identical under HEALTHMON_THREADS=1/2/7"
+# Drift-aged fleets against goldens: the default tiny device's 144-weight
+# layer ends in a partial sampler block, the mlp's layers are full blocks
+# only.
+for t in 1 2 7; do
+    HEALTHMON_THREADS=$t "$hm" fleet --devices 16 --epochs 6 --seed 11 \
+        --drift 0.3 --soft 0.0005 > "$fleet_dir/drift_tiny_$t.txt"
+    cmp "$fleet_dir/drift_tiny_$t.txt" tests/golden/fleet_drift_tiny.txt
+    HEALTHMON_THREADS=$t "$hm" fleet --devices 16 --epochs 6 --seed 11 \
+        --drift 0.3 --soft 0.0005 --arch mlp > "$fleet_dir/drift_mlp_$t.txt"
+    cmp "$fleet_dir/drift_mlp_$t.txt" tests/golden/fleet_drift_mlp.txt
+done
+echo "ok: drift-aged fleets byte-identical to their goldens under HEALTHMON_THREADS=1/2/7"
 # 200 devices under chaos (panics, stalls, poisoned distances, checkpoint
 # truncation): the run must complete with exit 0/2 — never a process
 # abort — quarantine the repeat offenders, and stay deterministic.

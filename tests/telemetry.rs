@@ -1,6 +1,6 @@
 //! Cross-crate telemetry integration tests.
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
 //! 1. **Thread-count invariance** — every metric tagged `Stable` merges
 //!    to bit-identical aggregates whether the work ran on 1, 2 or 7
@@ -10,6 +10,8 @@
 //! 3. **Pure observation** — enabling telemetry changes no detection
 //!    output: campaign rates and lifetime reports are byte-identical
 //!    with recording on and off.
+//! 4. **Phase coverage** — the aging step is timed once per epoch, inside
+//!    the epoch's own timing.
 
 use healthmon::{
     AgingModel, CrossbarConfig, Detector, LifetimeConfig, LifetimeRuntime, SdcCriterion,
@@ -184,5 +186,47 @@ fn telemetry_is_purely_observational() {
             .iter()
             .any(|e| e.name == "lifetime.event" && e.detail.contains("[deploy]")),
         "expected the deployed event in the ring buffer"
+    );
+}
+
+#[test]
+fn aging_phase_is_timed_once_per_epoch_inside_the_epoch() {
+    let _guard = exclusive();
+    let mut rng = SeededRng::new(41);
+    let golden = tiny_mlp(8, 16, 4, &mut rng);
+    let patterns = TestPatternSet::new("t", Tensor::rand_uniform(&[10, 8], 0.0, 1.0, &mut rng));
+    let epochs = 5;
+    let config = LifetimeConfig {
+        seed: 3,
+        epochs,
+        aging: AgingModel { drift_nu: 0.05, ..AgingModel::default() },
+        ..LifetimeConfig::default()
+    };
+    // Deploy untraced: its baseline checkup runs outside every epoch.
+    tel::set_enabled(false);
+    let mut runtime = LifetimeRuntime::new(&golden, patterns, config, None);
+    tel::set_enabled(true);
+    runtime.run(None);
+    let snapshot = tel::snapshot();
+    tel::set_enabled(false);
+
+    let hist = |name: &str| {
+        snapshot
+            .histograms
+            .iter()
+            .find(|h| h.name == name)
+            .unwrap_or_else(|| panic!("no {name} histogram"))
+            .clone()
+    };
+    let (aging, detector, epoch) =
+        (hist("phase.aging_ns"), hist("phase.detector_ns"), hist("lifetime.epoch_ns"));
+    assert_eq!(epoch.count, epochs as u64, "the lifetime must run every epoch");
+    assert_eq!(aging.count, epochs as u64, "one aging sample per epoch");
+    assert!(
+        aging.sum + detector.sum <= epoch.sum,
+        "aging {} + detector {} ns exceed the epochs' {} ns",
+        aging.sum,
+        detector.sum,
+        epoch.sum
     );
 }
