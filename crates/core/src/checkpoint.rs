@@ -5,12 +5,17 @@
 //!
 //! Because fault model `i` depends only on `(golden weights, seed, fault,
 //! i)` — never on evaluation order or thread count — a resumed sweep is
-//! bit-identical to an uninterrupted one. Checkpoints serialize through
-//! `healthmon-serdes`, keeping the artifact format dependency-free.
+//! bit-identical to an uninterrupted one. Checkpoints are sealed in the
+//! digest-guarded [`crate::store`] envelope.
 
 use crate::error::HealthmonError;
 use crate::metrics::SdcCriterion;
+use crate::store;
 use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
+use std::path::Path;
+
+/// Campaign checkpoint format tag; bumped on incompatible layout changes.
+const CAMPAIGN_FORMAT: &str = "healthmon-campaign-checkpoint-v2";
 
 /// The saved state of a partially-evaluated detection campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,18 +130,19 @@ impl CampaignCheckpoint {
             .collect()
     }
 
-    /// Serializes the checkpoint to a JSON string.
+    /// Serializes the checkpoint as a sealed JSON envelope.
     pub fn to_json_string(&self) -> String {
-        healthmon_serdes::to_string(self)
+        store::seal(CAMPAIGN_FORMAT, self.to_json())
     }
 
-    /// Deserializes a checkpoint from a JSON string.
+    /// Deserializes a checkpoint from a sealed JSON envelope.
     ///
     /// # Errors
     ///
-    /// [`HealthmonError::Json`] if the text is not a valid checkpoint.
+    /// [`HealthmonError::Json`] if the text is not an intact envelope of
+    /// a valid checkpoint.
     pub fn from_json_str(text: &str) -> Result<Self, HealthmonError> {
-        Ok(healthmon_serdes::from_str(text)?)
+        Ok(Self::from_json(&store::open(CAMPAIGN_FORMAT, text)?)?)
     }
 
     /// Writes the checkpoint to `path` atomically (temp + fsync +
@@ -147,28 +153,23 @@ impl CampaignCheckpoint {
     ///
     /// [`HealthmonError::CheckpointCorrupt`] carrying the path on any
     /// I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), HealthmonError> {
-        let path = path.as_ref();
-        crate::store::write_atomic(path, self.to_json_string().as_bytes()).map_err(|e| {
-            HealthmonError::CheckpointCorrupt {
-                path: path.display().to_string(),
-                detail: e.to_string(),
-            }
-        })
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), HealthmonError> {
+        store::save(path.as_ref(), CAMPAIGN_FORMAT, self.to_json())
     }
 
-    /// Loads a checkpoint from `path`, reporting unreadable or
-    /// unparseable files as [`HealthmonError::CheckpointCorrupt`] with
-    /// the offending path.
+    /// Loads a checkpoint from `path`, reporting unreadable, damaged or
+    /// invalid files as [`HealthmonError::CheckpointCorrupt`] with the
+    /// offending path.
     ///
     /// # Errors
     ///
     /// [`HealthmonError::CheckpointCorrupt`] when the file is missing,
-    /// unreadable, truncated, or fails to parse.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, HealthmonError> {
+    /// unreadable, truncated, fails its digest, or is not a valid
+    /// checkpoint.
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, HealthmonError> {
         let path = path.as_ref();
-        let text = crate::store::read_checkpoint(path)?;
-        Self::from_json_str(&text).map_err(|e| crate::store::mark_corrupt(path, e))
+        let body = store::load(path, CAMPAIGN_FORMAT)?;
+        Self::from_json(&body).map_err(|e| store::mark_corrupt(path, e.into()))
     }
 }
 
@@ -301,11 +302,13 @@ mod tests {
     fn from_json_rejects_corruption() {
         let cp = CampaignCheckpoint::new(1, 2, &criteria());
         let good = cp.to_json_string();
+        let tamper =
+            |from: &str, to: &str| store::reseal_replacing(CAMPAIGN_FORMAT, &good, from, to);
         // Out-of-range row index.
-        let bad = good.replace("\"rows\":[]", "\"rows\":[[9,[true,true]]]");
+        let bad = tamper("\"rows\":[]", "\"rows\":[[9,[true,true]]]");
         assert!(CampaignCheckpoint::from_json_str(&bad).is_err());
         // Non-numeric seed.
-        let bad = good.replace("\"seed\":\"1\"", "\"seed\":\"xyz\"");
+        let bad = tamper("\"seed\":\"1\"", "\"seed\":\"xyz\"");
         assert!(CampaignCheckpoint::from_json_str(&bad).is_err());
     }
 }

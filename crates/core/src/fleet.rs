@@ -28,8 +28,8 @@
 //!   devices, lowest priority first.
 //!
 //! Persistence is crash-safe: device state is partitioned into shard
-//! files written atomically (temp + fsync + rename, per
-//! [`crate::store`]) and guarded by a per-shard FNV digest, so
+//! files written atomically (temp + fsync + rename) and sealed in the
+//! digest-guarded [`crate::store`] envelope, so
 //! [`FleetSupervisor::resume`] recovers every healthy shard
 //! bit-identically and reports torn or bit-flipped shards instead of
 //! failing wholesale.
@@ -44,10 +44,10 @@ use crate::error::HealthmonError;
 use crate::monitor::HealthState;
 use crate::patterns::TestPatternSet;
 use crate::runtime::{
-    fnv1a, network_digest, panic_message, patterns_digest, verify_digest, LifetimeConfig,
-    LifetimeRuntime, FNV_OFFSET,
+    network_digest, panic_message, patterns_digest, verify_digest, LifetimeConfig,
+    LifetimeRuntime,
 };
-use crate::store;
+use crate::store::{self, fnv1a, FNV_OFFSET};
 use healthmon_nn::Network;
 use healthmon_reram::BackendKind;
 use healthmon_serdes::{FromJson, Json, JsonError, ToJson};
@@ -82,7 +82,7 @@ static FLEET_EPOCH_NS: tel::Histogram =
     tel::Histogram::new("fleet.epoch_ns", tel::Stability::Volatile);
 
 /// Shard file format tag; bumped on incompatible layout changes.
-const SHARD_FORMAT: &str = "healthmon-fleet-shard-v1";
+const SHARD_FORMAT: &str = "healthmon-fleet-shard-v2";
 
 /// Seeded fault injection into the *monitor itself*. All probabilities
 /// are per checkup attempt except the checkpoint knobs, which are per
@@ -454,6 +454,22 @@ struct DeviceRecord {
 }
 
 impl DeviceRecord {
+    /// A newly deployed device with a clean supervision record.
+    fn fresh(id: usize, golden: &Network, patterns: &TestPatternSet, config: &FleetConfig) -> Self {
+        DeviceRecord {
+            id,
+            runtime: LifetimeRuntime::new(golden, patterns.clone(), config.device_config(id), None),
+            offenses: 0,
+            quarantined_at: None,
+            retries: 0,
+            shed_depth: 0,
+            shed_skipped: 0,
+            backoff_ms: 0,
+            poisoned: false,
+            incidents: Vec::new(),
+        }
+    }
+
     /// Scheduling priority: higher goes first. Poisoned data is treated
     /// like Critical — non-finite distances bypass hysteresis exactly as
     /// in the single-device monitor.
@@ -554,24 +570,7 @@ impl FleetSupervisor {
         let golden_ref = golden;
         let patterns_ref = &patterns;
         pool::run_chunks(&mut slots, 1, |id, chunk| {
-            let runtime = LifetimeRuntime::new(
-                golden_ref,
-                patterns_ref.clone(),
-                config.device_config(id),
-                None,
-            );
-            chunk[0] = Some(DeviceRecord {
-                id,
-                runtime,
-                offenses: 0,
-                quarantined_at: None,
-                retries: 0,
-                shed_depth: 0,
-                shed_skipped: 0,
-                backoff_ms: 0,
-                poisoned: false,
-                incidents: Vec::new(),
-            });
+            chunk[0] = Some(DeviceRecord::fresh(id, golden_ref, patterns_ref, &config));
         });
         let devices = slots
             .into_iter()
@@ -843,12 +842,13 @@ impl FleetSupervisor {
     }
 
     /// Writes the fleet state as `shards` atomic shard files under
-    /// `dir`, each guarded by an FNV digest over its content. A kill at
-    /// any instant leaves every shard either at its previous complete
-    /// state or its new complete state. With chaos checkpoint knobs
-    /// active, shard writes are deliberately truncated or bit-flipped
-    /// *after* the atomic write — simulating media corruption that the
-    /// resume path must detect and contain.
+    /// `dir`, each a sealed [`crate::store`] envelope whose body embeds
+    /// every member's lifetime checkpoint body. A kill at any instant
+    /// leaves every shard either at its previous complete state or its
+    /// new complete state. With chaos checkpoint knobs active, shard
+    /// writes are deliberately truncated or bit-flipped *after* sealing —
+    /// simulating media corruption that the resume path must detect and
+    /// contain.
     ///
     /// # Errors
     ///
@@ -869,32 +869,13 @@ impl FleetSupervisor {
         })?;
         for shard in 0..self.config.shards {
             let path = shard_path(dir, shard);
-            let members: Vec<&DeviceRecord> = self
+            let devices = self
                 .devices
                 .iter()
                 .filter(|r| r.id % self.config.shards == shard)
+                .map(device_json)
                 .collect();
-            let entries: Vec<(usize, String, Json)> = members
-                .iter()
-                .map(|r| (r.id, r.runtime.checkpoint_json(), device_meta_json(r)))
-                .collect();
-            let digest = self.shard_digest(shard, &entries);
-            let devices: Vec<Json> = entries
-                .into_iter()
-                .map(|(id, checkpoint, meta)| {
-                    let mut fields = vec![("id".to_owned(), id.to_json())];
-                    if let Json::Object(meta_fields) = meta {
-                        fields.extend(meta_fields);
-                    }
-                    // The lifetime checkpoint rides as an escaped string,
-                    // so the shard digest covers its exact bytes without
-                    // depending on a parse→serialize round trip.
-                    fields.push(("checkpoint".to_owned(), Json::String(checkpoint)));
-                    Json::Object(fields)
-                })
-                .collect();
-            let value = Json::Object(vec![
-                ("format".to_owned(), Json::String(SHARD_FORMAT.to_owned())),
+            let body = Json::Object(vec![
                 ("config_digest".to_owned(), Json::String(self.config.digest().to_string())),
                 (
                     "golden_digest".to_owned(),
@@ -908,9 +889,8 @@ impl FleetSupervisor {
                 ("shards".to_owned(), self.config.shards.to_json()),
                 ("fleet_epoch".to_owned(), self.fleet_epoch.to_json()),
                 ("devices".to_owned(), Json::Array(devices)),
-                ("digest".to_owned(), Json::String(digest.to_string())),
             ]);
-            let mut bytes = healthmon_serdes::to_string(&value).into_bytes();
+            let mut bytes = store::seal(SHARD_FORMAT, body).into_bytes();
             let mut rng = self.config.chaos.shard_rng(shard, self.fleet_epoch);
             let truncate = rng.chance(self.config.chaos.truncate_p);
             let flip = rng.chance(self.config.chaos.bitflip_p);
@@ -931,35 +911,18 @@ impl FleetSupervisor {
         Ok(())
     }
 
-    /// The digest guarding one shard: FNV-1a over the header identity,
-    /// the fleet epoch, and every member's id, supervision metadata and
-    /// exact checkpoint bytes.
-    fn shard_digest(&self, shard: usize, entries: &[(usize, String, Json)]) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.config.digest().to_le_bytes());
-        h = fnv1a(h, network_digest(&self.golden).to_le_bytes());
-        h = fnv1a(h, patterns_digest(&self.patterns).to_le_bytes());
-        h = fnv1a(h, (shard as u64).to_le_bytes());
-        h = fnv1a(h, (self.fleet_epoch as u64).to_le_bytes());
-        for (id, checkpoint, meta) in entries {
-            h = fnv1a(h, (*id as u64).to_le_bytes());
-            h = fnv1a(h, healthmon_serdes::to_string(meta).bytes());
-            h = fnv1a(h, checkpoint.bytes());
-        }
-        h
-    }
-
     /// Rebuilds a fleet from the shard files under `dir`, given the same
-    /// golden network, pattern set and config. Every shard that reads
-    /// back complete and digest-clean restores its devices
-    /// bit-identically; torn, bit-flipped or missing shards are recorded
-    /// in [`FleetSupervisor::damaged_shards`] and their devices are
-    /// reinitialized fresh — a damaged shard never takes the fleet down.
+    /// golden network, pattern set and config. Every shard that opens
+    /// intact, carries this fleet's identity (config, golden network,
+    /// pattern set and shard layout digests) and restores all of its
+    /// devices brings them back bit-identically. Any other shard — torn,
+    /// bit-flipped, missing, of an unknown format, or written under a
+    /// different config, golden network, pattern set or shard layout —
+    /// is recorded in [`FleetSupervisor::damaged_shards`] and its devices
+    /// restart fresh: a damaged shard never takes the fleet down.
     ///
     /// # Errors
     ///
-    /// [`HealthmonError::CheckpointMismatch`] when a digest-clean shard
-    /// was written under a different config, golden network, pattern set
-    /// or shard layout (that is operator error, not media corruption);
     /// [`HealthmonError::InvalidPolicy`] on an invalid config.
     pub fn resume(
         golden: &Network,
@@ -976,68 +939,33 @@ impl FleetSupervisor {
         // fleet converges to the uninterrupted run byte-for-byte.
         let mut fleet_epoch: Option<usize> = None;
         for shard in 0..config.shards {
-            let path = shard_path(dir, shard);
-            match fleet.load_shard(&path, shard) {
+            match fleet.load_shard(&shard_path(dir, shard), shard) {
                 Ok(epoch) => {
                     fleet_epoch = Some(fleet_epoch.map_or(epoch, |e| e.min(epoch)));
                 }
-                Err(HealthmonError::CheckpointCorrupt { detail, .. }) => {
+                Err(e) => {
+                    // Devices restored before the failure restart too.
+                    for id in (shard..config.devices).step_by(config.shards) {
+                        fleet.devices[id] =
+                            DeviceRecord::fresh(id, golden, &fleet.patterns, &config);
+                    }
+                    let detail = match e {
+                        HealthmonError::CheckpointCorrupt { detail, .. } => detail,
+                        other => other.to_string(),
+                    };
                     fleet.damaged_shards.push((shard, detail));
                 }
-                Err(other) => return Err(other),
             }
         }
         fleet.fleet_epoch = fleet_epoch.unwrap_or(0);
         Ok(fleet)
     }
 
-    /// Loads one shard into the registry, returning its fleet epoch.
-    /// Corruption (unreadable, unparseable, digest-dirty) surfaces as
-    /// [`HealthmonError::CheckpointCorrupt`]; semantic mismatches on a
-    /// digest-clean shard surface as
-    /// [`HealthmonError::CheckpointMismatch`].
+    /// Loads one shard into the registry, returning its fleet epoch. The
+    /// shard is parsed once; each device restores from its borrowed
+    /// checkpoint body.
     fn load_shard(&mut self, path: &Path, shard: usize) -> Result<usize, HealthmonError> {
-        let text = store::read_checkpoint(path)?;
-        let value: Json =
-            healthmon_serdes::from_str(&text).map_err(|e| store::mark_corrupt(path, e.into()))?;
-        let parse = |e: JsonError| store::mark_corrupt(path, e.into());
-        let format = value.field("format").map_err(parse)?.as_str().map_err(parse)?;
-        if format != SHARD_FORMAT {
-            return Err(HealthmonError::CheckpointCorrupt {
-                path: path.display().to_string(),
-                detail: format!("unknown shard format `{format}` (expected `{SHARD_FORMAT}`)"),
-            });
-        }
-        let fleet_epoch = usize::from_json(value.field("fleet_epoch").map_err(parse)?)
-            .map_err(parse)?;
-        let devices = value.field("devices").map_err(parse)?.as_array().map_err(parse)?;
-        let mut entries: Vec<(usize, String, Json, Json)> = Vec::with_capacity(devices.len());
-        for device in devices {
-            let id = usize::from_json(device.field("id").map_err(parse)?).map_err(parse)?;
-            let checkpoint =
-                String::from_json(device.field("checkpoint").map_err(parse)?).map_err(parse)?;
-            let meta = device_meta_fields(device).map_err(parse)?;
-            entries.push((id, checkpoint, meta, device.clone()));
-        }
-        let digest_entries: Vec<(usize, String, Json)> = entries
-            .iter()
-            .map(|(id, cp, meta, _)| (*id, cp.clone(), meta.clone()))
-            .collect();
-        let expected = self.shard_digest_at(shard, fleet_epoch, &digest_entries);
-        match verify_digest(&value, "digest", expected, "fleet shard") {
-            Ok(()) => {}
-            Err(HealthmonError::CheckpointMismatch(detail)) => {
-                // The digest covers the whole payload, so a mismatch here
-                // is indistinguishable from media corruption — contain it
-                // at shard granularity rather than failing the resume.
-                return Err(HealthmonError::CheckpointCorrupt {
-                    path: path.display().to_string(),
-                    detail,
-                });
-            }
-            Err(other) => return Err(store::mark_corrupt(path, other)),
-        }
-        // Digest-clean from here on: any inconsistency is operator error.
+        let value = store::load(path, SHARD_FORMAT)?;
         verify_digest(&value, "config_digest", self.config.digest(), "fleet configuration")?;
         verify_digest(
             &value,
@@ -1060,19 +988,19 @@ impl FleetSupervisor {
                 self.config.shards
             )));
         }
-        for (id, checkpoint, _, device) in &entries {
-            let id = *id;
+        for device in value.field("devices")?.as_array()? {
+            let id = usize::from_json(device.field("id")?)?;
             if id >= self.config.devices || id % self.config.shards != shard {
                 return Err(HealthmonError::CheckpointMismatch(format!(
                     "device id {id} does not belong to shard {shard}"
                 )));
             }
-            let runtime = LifetimeRuntime::resume(
+            let runtime = LifetimeRuntime::resume_from_body(
                 &self.golden,
                 self.patterns.clone(),
                 self.config.device_config(id),
                 None,
-                checkpoint,
+                device.field("checkpoint")?,
             )?;
             let rec = &mut self.devices[id];
             rec.runtime = runtime;
@@ -1087,28 +1015,7 @@ impl FleetSupervisor {
             rec.poisoned = bool::from_json(device.field("poisoned")?)?;
             rec.incidents = Vec::from_json(device.field("incidents")?)?;
         }
-        Ok(fleet_epoch)
-    }
-
-    /// [`FleetSupervisor::shard_digest`] against an explicit epoch (the
-    /// one stored in the shard being verified, not the live one).
-    fn shard_digest_at(
-        &self,
-        shard: usize,
-        fleet_epoch: usize,
-        entries: &[(usize, String, Json)],
-    ) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.config.digest().to_le_bytes());
-        h = fnv1a(h, network_digest(&self.golden).to_le_bytes());
-        h = fnv1a(h, patterns_digest(&self.patterns).to_le_bytes());
-        h = fnv1a(h, (shard as u64).to_le_bytes());
-        h = fnv1a(h, (fleet_epoch as u64).to_le_bytes());
-        for (id, checkpoint, meta) in entries {
-            h = fnv1a(h, (*id as u64).to_le_bytes());
-            h = fnv1a(h, healthmon_serdes::to_string(meta).bytes());
-            h = fnv1a(h, checkpoint.bytes());
-        }
-        h
+        usize::from_json(value.field("fleet_epoch")?).map_err(Into::into)
     }
 }
 
@@ -1116,10 +1023,11 @@ fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:03}.json"))
 }
 
-/// The supervision metadata of one device as a JSON object (everything
-/// except the id and the embedded lifetime checkpoint).
-fn device_meta_json(rec: &DeviceRecord) -> Json {
+/// One shard member: its id, supervision metadata and lifetime
+/// checkpoint body.
+fn device_json(rec: &DeviceRecord) -> Json {
     Json::Object(vec![
+        ("id".to_owned(), rec.id.to_json()),
         ("offenses".to_owned(), rec.offenses.to_json()),
         ("quarantined_at".to_owned(), rec.quarantined_at.to_json()),
         ("retries".to_owned(), rec.retries.to_json()),
@@ -1129,23 +1037,8 @@ fn device_meta_json(rec: &DeviceRecord) -> Json {
         ("backoff_ms".to_owned(), Json::String(rec.backoff_ms.to_string())),
         ("poisoned".to_owned(), rec.poisoned.to_json()),
         ("incidents".to_owned(), rec.incidents.to_json()),
+        ("checkpoint".to_owned(), rec.runtime.checkpoint_body()),
     ])
-}
-
-/// Re-extracts the metadata object from a parsed shard device entry, in
-/// the exact field order [`device_meta_json`] writes, so the digest
-/// recomputation sees byte-identical metadata serialization.
-fn device_meta_fields(device: &Json) -> Result<Json, JsonError> {
-    Ok(Json::Object(vec![
-        ("offenses".to_owned(), device.field("offenses")?.clone()),
-        ("quarantined_at".to_owned(), device.field("quarantined_at")?.clone()),
-        ("retries".to_owned(), device.field("retries")?.clone()),
-        ("shed_depth".to_owned(), device.field("shed_depth")?.clone()),
-        ("shed_skipped".to_owned(), device.field("shed_skipped")?.clone()),
-        ("backoff_ms".to_owned(), device.field("backoff_ms")?.clone()),
-        ("poisoned".to_owned(), device.field("poisoned")?.clone()),
-        ("incidents".to_owned(), device.field("incidents")?.clone()),
-    ]))
 }
 
 /// Drives one device through one fleet epoch with panic isolation,
@@ -1521,6 +1414,31 @@ mod tests {
     }
 
     #[test]
+    fn a_shard_failing_midway_restarts_every_member_fresh() {
+        let (net, patterns) = setup(9);
+        let config = small_config(7); // shard 0 holds ids 0, 3, 6 in that order
+        let dir = temp_dir("midway");
+        let mut fleet = FleetSupervisor::new(&net, patterns.clone(), config).unwrap();
+        fleet.run(Some(2));
+        fleet.save_checkpoint(&dir).unwrap();
+        // An intact envelope whose last member is not a shard-0 device:
+        // devices 0 and 3 restore before the failure surfaces.
+        let path = dir.join("shard-000.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let bad = store::reseal_replacing(SHARD_FORMAT, &text, "\"id\":6,", "\"id\":7,");
+        std::fs::write(&path, bad).unwrap();
+
+        let resumed = FleetSupervisor::resume(&net, patterns, config, &dir).unwrap();
+        assert_eq!(resumed.damaged_shards().len(), 1);
+        assert!(resumed.damaged_shards()[0].1.contains("does not belong"));
+        for id in [0usize, 3, 6] {
+            assert_eq!(resumed.devices[id].runtime.epoch(), 0, "device {id} must restart fresh");
+        }
+        assert_eq!(resumed.devices[1].runtime.epoch(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn bit_flipped_shard_fails_its_digest() {
         let (net, patterns) = setup(9);
         let config = small_config(4);
@@ -1556,11 +1474,10 @@ mod tests {
         fleet.save_checkpoint(&dir).unwrap();
         let mut other = config;
         other.retry_limit += 1;
-        // A clean shard under a different config digest: every shard is
-        // "corrupt" relative to that config's digest chain, so the whole
+        // An intact shard under a different config digest: the identity
+        // check inside the body reports every shard damaged, so the whole
         // resume degrades to fresh devices — but never silently mixes
-        // configurations. (The config digest seeds the shard digest, so
-        // the mismatch is caught by the earliest, strongest check.)
+        // configurations.
         let resumed = FleetSupervisor::resume(&net, patterns, other, &dir).unwrap();
         assert_eq!(resumed.damaged_shards().len(), config.shards);
         std::fs::remove_dir_all(&dir).ok();

@@ -24,19 +24,18 @@
 //! exporter publishes.
 //!
 //! Each record carries the fleet/lifetime config digest (so a postmortem
-//! can be matched to the exact run configuration) and an FNV-1a digest
-//! over its own payload; the [`std::str::FromStr`] impl refuses artifacts
-//! whose digest does not match, turning silent corruption into a loud
-//! parse error.
+//! can be matched to the exact run configuration) and is sealed in the
+//! digest-guarded [`crate::store`] envelope; the [`std::str::FromStr`]
+//! impl refuses artifacts whose digest does not match, turning silent
+//! corruption into a loud parse error.
 
 use crate::error::HealthmonError;
-use crate::runtime::{fnv1a, FNV_OFFSET};
 use crate::store;
-use healthmon_serdes::{parse, to_string, Json, JsonError};
+use healthmon_serdes::{FromJson, Json};
 use std::path::{Path, PathBuf};
 
 /// Artifact format tag; bump on layout changes.
-pub const FLIGHT_FORMAT: &str = "healthmon-flight-record-v1";
+pub const FLIGHT_FORMAT: &str = "healthmon-flight-record-v2";
 
 /// The checkup pipeline stages, in execution order. Matches the
 /// `phase.*` latency histograms published by the telemetry exporter.
@@ -96,14 +95,14 @@ impl FlightRecord {
         self.tallies.push((name.to_owned(), value));
     }
 
-    fn payload_json(&self) -> Json {
+    /// Renders the artifact as a sealed [`FLIGHT_FORMAT`] envelope.
+    pub fn render(&self) -> String {
         let tallies = self
             .tallies
             .iter()
             .map(|(k, v)| (k.clone(), Json::Number(*v as f64)))
             .collect();
-        Json::Object(vec![
-            ("format".to_owned(), Json::String(FLIGHT_FORMAT.to_owned())),
+        let body = Json::Object(vec![
             ("device".to_owned(), Json::Number(f64::from(self.device))),
             ("epoch".to_owned(), Json::Number(self.epoch as f64)),
             ("reason".to_owned(), Json::String(self.reason.clone())),
@@ -116,19 +115,8 @@ impl FlightRecord {
                 Json::Array(self.phases.iter().map(|p| Json::String(p.clone())).collect()),
             ),
             ("tallies".to_owned(), Json::Object(tallies)),
-        ])
-    }
-
-    /// Renders the artifact, including its self-digest: FNV-1a over the
-    /// rendered payload, appended as the final field.
-    pub fn render(&self) -> String {
-        let payload = to_string(&self.payload_json());
-        let digest = fnv1a(FNV_OFFSET, payload.bytes());
-        let Json::Object(mut fields) = self.payload_json() else {
-            unreachable!("payload_json always builds an object");
-        };
-        fields.push(("digest".to_owned(), Json::String(digest.to_string())));
-        to_string(&Json::Object(fields))
+        ]);
+        store::seal(FLIGHT_FORMAT, body)
     }
 
     /// Canonical artifact file name: `incident-<device>-<epoch>.json`.
@@ -171,43 +159,23 @@ impl std::str::FromStr for FlightRecord {
     /// # Errors
     ///
     /// [`HealthmonError::Json`] on malformed JSON, an unknown format
-    /// tag, or an embedded digest that does not match the payload.
+    /// tag, an embedded digest that does not match the body, or an
+    /// integer field that is negative, fractional or out of range.
     fn from_str(text: &str) -> Result<FlightRecord, HealthmonError> {
-        let v = parse(text)?;
-        let format = v.field("format")?.as_str()?;
-        if format != FLIGHT_FORMAT {
-            return Err(JsonError::invalid(format!(
-                "unknown flight-record format `{format}` (expected `{FLIGHT_FORMAT}`)"
-            ))
-            .into());
-        }
+        let v = store::open(FLIGHT_FORMAT, text)?;
         let mut record = FlightRecord {
-            device: v.field("device")?.as_number()? as u32,
-            epoch: v.field("epoch")?.as_number()? as u64,
+            device: u32::from_json(v.field("device")?)?,
+            epoch: u64::from_json(v.field("epoch")?)?,
             reason: v.field("reason")?.as_str()?.to_owned(),
             detail: v.field("detail")?.as_str()?.to_owned(),
             config_digest: v.field("config_digest")?.as_str()?.to_owned(),
             events: v.field("events")?.as_array()?.to_vec(),
             timeline: v.field("timeline")?.as_array()?.to_vec(),
-            phases: Vec::new(),
+            phases: Vec::from_json(v.field("phases")?)?,
             tallies: Vec::new(),
         };
-        for p in v.field("phases")?.as_array()? {
-            record.phases.push(p.as_str()?.to_owned());
-        }
-        if let Json::Object(fields) = v.field("tallies")? {
-            for (k, val) in fields {
-                record.tallies.push((k.clone(), val.as_number()? as u64));
-            }
-        }
-        let claimed = v.field("digest")?.as_str()?.to_owned();
-        let payload = to_string(&record.payload_json());
-        let actual = fnv1a(FNV_OFFSET, payload.bytes()).to_string();
-        if claimed != actual {
-            return Err(JsonError::invalid(format!(
-                "flight-record digest mismatch: artifact says {claimed}, payload hashes to {actual}"
-            ))
-            .into());
+        for (k, val) in v.field("tallies")?.as_object()? {
+            record.tallies.push((k.clone(), u64::from_json(val)?));
         }
         Ok(record)
     }
@@ -255,6 +223,19 @@ mod tests {
     fn unknown_format_is_rejected() {
         let text = sample().render().replace(FLIGHT_FORMAT, "flight-v999");
         assert!(FlightRecord::from_str(&text).is_err());
+    }
+
+    #[test]
+    fn negative_fractional_and_overflowing_integers_are_rejected() {
+        let text = sample().render();
+        for (field, good) in [("device", "42"), ("epoch", "7"), ("offenses", "3")] {
+            for bad in ["-1", "2.5", "1e20"] {
+                let from = format!("\"{field}\":{good}");
+                let to = format!("\"{field}\":{bad}");
+                let sealed = store::reseal_replacing(FLIGHT_FORMAT, &text, &from, &to);
+                assert!(FlightRecord::from_str(&sealed).is_err(), "{field} = {bad}");
+            }
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ use crate::diagnose::{diagnose, Diagnosis};
 use crate::error::HealthmonError;
 use crate::monitor::{Checkup, HealthMonitor, HealthState, MonitorPolicy, MonitorSnapshot};
 use crate::patterns::TestPatternSet;
+use crate::store::{self, fnv1a, FNV_OFFSET};
 use healthmon_faults::sample_cell_arrivals;
 use healthmon_nn::{InferenceBackend, Network};
 use healthmon_repair::{
@@ -1432,7 +1433,8 @@ impl LifetimeRuntime {
         out
     }
 
-    /// Serializes the full mutable state as a JSON checkpoint.
+    /// Serializes the full mutable state as a sealed JSON checkpoint (see
+    /// [`crate::store`]).
     ///
     /// The checkpoint embeds digests of the configuration, the golden
     /// network and the pattern set, so [`LifetimeRuntime::resume`] can
@@ -1440,9 +1442,14 @@ impl LifetimeRuntime {
     /// diverging. It does *not* embed the inputs themselves — the caller
     /// supplies them again, exactly as with campaign checkpoints.
     pub fn checkpoint_json(&self) -> String {
+        store::seal(CHECKPOINT_FORMAT, self.checkpoint_body())
+    }
+
+    /// The checkpoint body: what [`LifetimeRuntime::checkpoint_json`]
+    /// seals and what a fleet shard embeds per device.
+    pub(crate) fn checkpoint_body(&self) -> Json {
         let layers: Vec<Json> = self.layers.iter().map(ToJson::to_json).collect();
         let mut fields = vec![
-            ("format".to_owned(), Json::String(CHECKPOINT_FORMAT.to_owned())),
             ("config_digest".to_owned(), Json::String(self.config.digest().to_string())),
             ("golden_digest".to_owned(), Json::String(network_digest(&self.golden).to_string())),
             (
@@ -1461,9 +1468,9 @@ impl LifetimeRuntime {
             ("incident".to_owned(), self.incident.to_json()),
         ];
         if self.config.hardened {
-            // Hardened-only fields keep unhardened checkpoints
-            // byte-identical to the v1 layout. The parity words are
-            // digest-guarded like every other resume input.
+            // Hardened-only fields keep unhardened bodies free of parity
+            // state. The parity words are digest-guarded like every other
+            // resume input.
             let planes = self.device.parity_planes();
             let parity: Vec<Json> = planes.iter().map(parity_entry_json).collect();
             fields.push(("hardened".to_owned(), true.to_json()));
@@ -1478,7 +1485,7 @@ impl LifetimeRuntime {
                 Json::String(parity_digest(planes).to_string()),
             ));
         }
-        healthmon_serdes::to_string(&Json::Object(fields))
+        Json::Object(fields)
     }
 
     /// Rebuilds a runtime from a checkpoint produced by
@@ -1488,7 +1495,8 @@ impl LifetimeRuntime {
     ///
     /// # Errors
     ///
-    /// [`HealthmonError::Json`] on malformed JSON;
+    /// [`HealthmonError::Json`] on malformed JSON, an unknown format tag
+    /// or a checkpoint whose bytes do not match its digest;
     /// [`HealthmonError::CheckpointMismatch`] when the checkpoint was
     /// written under a different config, golden network or pattern set,
     /// or its internal state is inconsistent with them — and always when
@@ -1501,6 +1509,19 @@ impl LifetimeRuntime {
         train: Option<TrainData>,
         checkpoint: &str,
     ) -> Result<Self, HealthmonError> {
+        let body = store::open(CHECKPOINT_FORMAT, checkpoint)?;
+        Self::resume_from_body(golden, patterns, config, train, &body)
+    }
+
+    /// [`LifetimeRuntime::resume`] from an already opened checkpoint
+    /// body.
+    pub(crate) fn resume_from_body(
+        golden: &Network,
+        patterns: TestPatternSet,
+        config: LifetimeConfig,
+        train: Option<TrainData>,
+        value: &Json,
+    ) -> Result<Self, HealthmonError> {
         if config.backend.kind != BackendKind::Digital {
             return Err(HealthmonError::CheckpointMismatch(format!(
                 "lifetime checkpoints capture digital device state only; \
@@ -1508,17 +1529,10 @@ impl LifetimeRuntime {
                 config.backend.kind.label()
             )));
         }
-        let value: Json = healthmon_serdes::from_str(checkpoint)?;
-        let format = value.field("format")?.as_str()?;
-        if format != CHECKPOINT_FORMAT {
-            return Err(HealthmonError::CheckpointMismatch(format!(
-                "unknown checkpoint format `{format}` (expected `{CHECKPOINT_FORMAT}`)"
-            )));
-        }
         let mut runtime = LifetimeRuntime::new(golden, patterns, config, train);
-        verify_digest(&value, "config_digest", runtime.config.digest(), "configuration")?;
+        verify_digest(value, "config_digest", runtime.config.digest(), "configuration")?;
         verify_digest(
-            &value,
+            value,
             "golden_digest",
             network_digest(&runtime.golden),
             &format!(
@@ -1529,7 +1543,7 @@ impl LifetimeRuntime {
             ),
         )?;
         verify_digest(
-            &value,
+            value,
             "patterns_digest",
             patterns_digest(&runtime.patterns),
             "pattern set",
@@ -1607,7 +1621,7 @@ impl LifetimeRuntime {
                 .iter()
                 .map(parity_entry_from_json)
                 .collect::<Result<Vec<_>, _>>()?;
-            verify_digest(&value, "parity_digest", parity_digest(&parity), "parity state")?;
+            verify_digest(value, "parity_digest", parity_digest(&parity), "parity state")?;
             // The checkpoint is taken at an epoch boundary, where the
             // parity baseline always matches the device: a stored word
             // that disagrees with the restored weights means either the
@@ -1631,7 +1645,7 @@ impl LifetimeRuntime {
 }
 
 /// Checkpoint format tag; bumped on incompatible layout changes.
-const CHECKPOINT_FORMAT: &str = "healthmon-lifetime-checkpoint-v1";
+const CHECKPOINT_FORMAT: &str = "healthmon-lifetime-checkpoint-v2";
 
 pub(crate) fn verify_digest(
     value: &Json,
@@ -1675,17 +1689,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "opaque panic payload".to_owned()
     }
-}
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-pub(crate) fn fnv1a(mut hash: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    for byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// FNV-1a over every parameter key and the exact f32 bit patterns.
@@ -1981,6 +1984,27 @@ mod tests {
         assert!(err.to_string().contains("format"), "{err}");
     }
 
+    /// A one-digit edit of a device weight leaves valid JSON and every
+    /// identity digest intact: only the envelope digest over the whole
+    /// body can catch it.
+    #[test]
+    fn resume_rejects_an_edited_device_weight() {
+        let (net, patterns) = setup(8);
+        let config =
+            LifetimeConfig { epochs: 2, aging: quiet_aging(), ..LifetimeConfig::default() };
+        let mut runtime = LifetimeRuntime::new(&net, patterns.clone(), config, None);
+        runtime.run(Some(1));
+        let checkpoint = runtime.checkpoint_json();
+        let key = checkpoint.find("\"layer0.weight\"").expect("device weights are checkpointed");
+        let data = key + checkpoint[key..].find("\"data\":[").expect("a weight array");
+        let at = data
+            + checkpoint[data..].find(|c: char| ('1'..='9').contains(&c)).expect("a digit");
+        let digit = checkpoint.as_bytes()[at];
+        let flipped = if digit == b'9' { '8' } else { char::from(digit + 1) };
+        let edited = format!("{}{flipped}{}", &checkpoint[..at], &checkpoint[at + 1..]);
+        assert!(LifetimeRuntime::resume(&net, patterns, config, None, &edited).is_err());
+    }
+
     #[test]
     fn events_round_trip_through_json() {
         let distance = ConfidenceDistance { top_ranked: 0.01, all_classes: 0.02 };
@@ -2226,7 +2250,7 @@ mod tests {
         let checkpoint = runtime.checkpoint_json();
 
         let digest = parity_digest(runtime.device.parity_planes()).to_string();
-        let tampered = checkpoint.replace(&digest, "12345");
+        let tampered = store::reseal_replacing(CHECKPOINT_FORMAT, &checkpoint, &digest, "12345");
         assert_ne!(tampered, checkpoint, "the digest must appear in the checkpoint");
         let err =
             LifetimeRuntime::resume(&net, patterns.clone(), config, None, &tampered).unwrap_err();

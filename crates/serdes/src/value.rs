@@ -33,7 +33,8 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Appends the compact rendering of the value to `out`.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),

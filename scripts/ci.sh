@@ -95,6 +95,24 @@ lt_flags=(--arch mlp --model "$lt_dir/model.json" --epochs 6 --count 8 --drift 0
 cmp "$lt_dir/full.txt" "$lt_dir/resumed.txt"
 grep -q "repair #" "$lt_dir/full.txt"  # the smoke must exercise a repair session
 echo "ok: resumed lifetime report is byte-identical to the uninterrupted run"
+# A one-digit edit in the middle of the checkpoint still parses as JSON;
+# the envelope digest must refuse it and the error must name the file.
+cp "$lt_dir/cp.json" "$lt_dir/cp_edited.json"
+off=$(( $(wc -c < "$lt_dir/cp.json") / 2 ))
+while :; do
+    c=$(dd if="$lt_dir/cp.json" bs=1 skip="$off" count=1 2> /dev/null)
+    [[ "$c" == [0-9] ]] && break
+    off=$((off + 1))
+done
+printf '%s' "$(( (c + 1) % 10 ))" \
+    | dd of="$lt_dir/cp_edited.json" bs=1 seek="$off" conv=notrunc 2> /dev/null
+if "$hm" lifetime "${lt_flags[@]}" --checkpoint "$lt_dir/cp_edited.json" \
+    > /dev/null 2> "$lt_dir/cp_edited.err"; then
+    echo "ERROR: lifetime resumed from an edited checkpoint" >&2
+    exit 1
+fi
+grep -qF "$lt_dir/cp_edited.json" "$lt_dir/cp_edited.err"
+echo "ok: an edited checkpoint is refused with an error naming its path"
 # The determinism contract holds at any thread count (DESIGN.md §6c):
 # HEALTHMON_THREADS is latched per process, so vary it across runs.
 for t in 1 2 7; do

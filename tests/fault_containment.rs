@@ -1,15 +1,19 @@
 //! Fault-containment integration: a poisoned accelerator must never take
-//! the monitor down with it — or, worse, read as healthy — and an
-//! interrupted detection campaign must resume bit-identically.
+//! the monitor down with it — or, worse, read as healthy — an
+//! interrupted detection campaign must resume bit-identically, and no
+//! damaged on-disk artifact is ever accepted.
 
 use healthmon::{
-    CampaignCheckpoint, Detector, HealthMonitor, HealthState, HealthmonError, MonitorPolicy,
-    SdcCriterion, TestPatternSet,
+    CampaignCheckpoint, Detector, FleetConfig, FleetSupervisor, FlightRecord, HealthMonitor,
+    HealthState, HealthmonError, LifetimeConfig, LifetimeRuntime, MonitorPolicy, SdcCriterion,
+    TestPatternSet,
 };
+use healthmon_check::Gen;
 use healthmon_faults::FaultModel;
 use healthmon_nn::models::tiny_mlp;
 use healthmon_nn::Network;
 use healthmon_tensor::{SeededRng, Tensor};
+use std::str::FromStr;
 
 fn fixture() -> (Network, Detector) {
     let mut rng = SeededRng::new(1);
@@ -157,4 +161,81 @@ fn resume_with_wrong_criteria_is_rejected() {
     assert!(matches!(err, HealthmonError::CheckpointMismatch(_)));
     // The checkpoint itself is untouched by the failed resume.
     assert_eq!(cp.completed(), 0);
+}
+
+/// Feeds every truncation and every single-bit flip of `artifact` to
+/// `accepts` and requires a rejection each time. Artifacts over 4 KiB are
+/// swept at a seeded sample of 512 byte positions. Variants that are no
+/// longer UTF-8 are skipped: reading them as text already fails.
+fn sweep(artifact: &str, accepts: impl Fn(&str) -> bool) {
+    assert!(accepts(artifact), "the intact artifact must be accepted");
+    let bytes = artifact.as_bytes();
+    let positions: Vec<usize> = if bytes.len() <= 4096 {
+        (0..bytes.len()).collect()
+    } else {
+        let mut g = Gen::for_case(bytes.len());
+        (0..512).map(|_| g.usize_in(0, bytes.len())).collect()
+    };
+    let mut variant = bytes.to_vec();
+    for at in positions {
+        let torn = std::str::from_utf8(&bytes[..at]).expect("artifacts are ASCII");
+        assert!(!accepts(torn), "truncation to {at} of {} bytes was accepted", bytes.len());
+        for bit in 0..8 {
+            variant[at] ^= 1 << bit;
+            if let Ok(text) = std::str::from_utf8(&variant) {
+                assert!(!accepts(text), "flipping bit {bit} of byte {at} was accepted");
+            }
+            variant[at] = bytes[at];
+        }
+    }
+}
+
+fn lifetime_fixture() -> (Network, TestPatternSet, LifetimeConfig) {
+    let mut rng = SeededRng::new(4);
+    let net = tiny_mlp(8, 16, 4, &mut rng);
+    let patterns = TestPatternSet::new("t", Tensor::rand_uniform(&[6, 8], 0.0, 1.0, &mut rng));
+    (net, patterns, LifetimeConfig { epochs: 3, ..LifetimeConfig::default() })
+}
+
+#[test]
+fn damaged_campaign_checkpoints_are_rejected() {
+    let mut cp = CampaignCheckpoint::new(5, 3, &[SdcCriterion::Sdc1]);
+    cp.record(1, vec![true]).unwrap();
+    sweep(&cp.to_json_string(), |text| CampaignCheckpoint::from_json_str(text).is_ok());
+}
+
+#[test]
+fn damaged_flight_records_are_rejected() {
+    let mut record = FlightRecord::new(3, 2, "park", "repair budget exhausted", 77);
+    record.push_tally("offenses", 1);
+    sweep(&record.render(), |text| FlightRecord::from_str(text).is_ok());
+}
+
+#[test]
+fn damaged_lifetime_checkpoints_are_rejected() {
+    let (net, patterns, config) = lifetime_fixture();
+    let mut runtime = LifetimeRuntime::new(&net, patterns.clone(), config, None);
+    runtime.run(Some(1));
+    sweep(&runtime.checkpoint_json(), |text| {
+        LifetimeRuntime::resume(&net, patterns.clone(), config, None, text).is_ok()
+    });
+}
+
+#[test]
+fn damaged_fleet_shards_are_rejected() {
+    let (net, patterns, device) = lifetime_fixture();
+    let config = FleetConfig { seed: 8, devices: 1, shards: 1, device, ..FleetConfig::default() };
+    let dir = std::env::temp_dir().join("healthmon_containment_shard_sweep");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut fleet = FleetSupervisor::new(&net, patterns.clone(), config).unwrap();
+    fleet.run(Some(1));
+    fleet.save_checkpoint(&dir).unwrap();
+    let path = dir.join("shard-000.json");
+    let shard = std::fs::read_to_string(&path).unwrap();
+    sweep(&shard, |text| {
+        std::fs::write(&path, text).unwrap();
+        let resumed = FleetSupervisor::resume(&net, patterns.clone(), config, &dir).unwrap();
+        resumed.damaged_shards().is_empty()
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }
