@@ -21,8 +21,8 @@
 //! the `f32` differential cache, so liveness is preserved.
 
 use crate::{
-    deploy, BitSlicedMatrix, CellFault, CrossbarConfig, DeployReport, IrDropModel, LayerMapping,
-    ParityCheck, ScrubOutcome, TiledMatrix,
+    deploy, BitSlicedMatrix, CellFault, Crossbar, CrossbarConfig, DeployReport, IrDropModel,
+    LayerMapping, ParityCheck, ScrubOutcome, TiledMatrix,
 };
 use healthmon_faults::FaultModel;
 use healthmon_nn::{
@@ -171,8 +171,10 @@ enum MappedMatrix {
 }
 
 impl MappedMatrix {
+    /// Programs `oriented` per `spec`, applying the spec's IR-drop model
+    /// to every tile.
     fn program(oriented: &Tensor, spec: &BackendSpec, rng: &mut SeededRng) -> Self {
-        match spec.kind {
+        let mut matrix = match spec.kind {
             BackendKind::Digital => unreachable!("digital backend maps no parameters"),
             BackendKind::Analog => {
                 MappedMatrix::Tiled(TiledMatrix::program(oriented, &spec.crossbar, rng))
@@ -184,7 +186,12 @@ impl MappedMatrix {
                 &spec.crossbar,
                 rng,
             )),
+        };
+        if spec.ir_drop > 0.0 {
+            let model = IrDropModel::new(spec.ir_drop);
+            matrix.tiles_mut().for_each(|tile| tile.apply_ir_drop(&model));
         }
+        matrix
     }
 
     fn matmul(&self, input: &Tensor) -> Tensor {
@@ -201,76 +208,6 @@ impl MappedMatrix {
         }
     }
 
-    fn shape(&self) -> (usize, usize) {
-        match self {
-            MappedMatrix::Tiled(t) => t.shape(),
-            MappedMatrix::Sliced(s) => s.shape(),
-        }
-    }
-
-    fn tile_count(&self) -> usize {
-        match self {
-            MappedMatrix::Tiled(t) => t.tile_count(),
-            MappedMatrix::Sliced(s) => s.tile_count(),
-        }
-    }
-
-    fn inject_stuck_cells(&mut self, fault: CellFault, fraction: f64, rng: &mut SeededRng) {
-        match self {
-            MappedMatrix::Tiled(t) => t.inject_stuck_cells(fault, fraction, rng),
-            MappedMatrix::Sliced(s) => s.inject_stuck_cells(fault, fraction, rng),
-        }
-    }
-
-    fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
-        match self {
-            MappedMatrix::Tiled(t) => t.disturb(sigma, rng),
-            MappedMatrix::Sliced(s) => s.disturb(sigma, rng),
-        }
-    }
-
-    fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
-        match self {
-            MappedMatrix::Tiled(t) => t.flip_cells(probability, rng),
-            MappedMatrix::Sliced(s) => s.flip_cells(probability, rng),
-        }
-    }
-
-    fn enable_parity(&mut self) {
-        match self {
-            MappedMatrix::Tiled(t) => t.enable_parity(),
-            MappedMatrix::Sliced(s) => s.enable_parity(),
-        }
-    }
-
-    fn refresh_parity(&mut self) {
-        match self {
-            MappedMatrix::Tiled(t) => t.refresh_parity(),
-            MappedMatrix::Sliced(s) => s.refresh_parity(),
-        }
-    }
-
-    fn scrub_parity(&mut self) -> ScrubOutcome {
-        match self {
-            MappedMatrix::Tiled(t) => t.scrub_parity(),
-            MappedMatrix::Sliced(s) => s.scrub_parity(),
-        }
-    }
-
-    fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-        match self {
-            MappedMatrix::Tiled(t) => t.drift(nu, time, rng),
-            MappedMatrix::Sliced(s) => s.drift(nu, time, rng),
-        }
-    }
-
-    fn apply_ir_drop(&mut self, model: &IrDropModel) {
-        match self {
-            MappedMatrix::Tiled(t) => t.apply_ir_drop(model),
-            MappedMatrix::Sliced(s) => s.apply_ir_drop(model),
-        }
-    }
-
     fn stick_cell(&mut self, row: usize, col: usize, weight: f32) {
         match self {
             MappedMatrix::Tiled(t) => t.stick_cell(row, col, weight),
@@ -278,31 +215,56 @@ impl MappedMatrix {
         }
     }
 
+    /// The tiled arrays holding the matrix, least-significant slice first;
+    /// an analog matrix is a single slice.
+    fn slices(&self) -> &[TiledMatrix] {
+        match self {
+            MappedMatrix::Tiled(t) => std::slice::from_ref(t),
+            MappedMatrix::Sliced(s) => s.slices(),
+        }
+    }
+
+    fn slices_mut(&mut self) -> &mut [TiledMatrix] {
+        match self {
+            MappedMatrix::Tiled(t) => std::slice::from_mut(t),
+            MappedMatrix::Sliced(s) => s.slices_mut(),
+        }
+    }
+
+    /// Weight-domain radix scale of each slice (1.0 for an analog matrix).
+    fn slice_scales(&self) -> &[f32] {
+        match self {
+            MappedMatrix::Tiled(_) => &[1.0],
+            MappedMatrix::Sliced(s) => s.slice_scales(),
+        }
+    }
+
+    /// Every tile of the matrix: slices LSB first, each in row-major grid
+    /// order.
+    fn tiles_mut(&mut self) -> impl Iterator<Item = &mut Crossbar> {
+        self.slices_mut().iter_mut().flat_map(TiledMatrix::tiles_mut)
+    }
+
+    fn tile_count(&self) -> usize {
+        self.slices().iter().map(TiledMatrix::tile_count).sum()
+    }
+
     /// Worst-case weight-domain output magnitude the (recombined) ADC
     /// chain is sized for. For multi-row-block tilings this sums the
     /// first tile's full scale over the row blocks — an upper bound on any
     /// single output column.
     fn adc_full_scale(&self) -> f32 {
-        match self {
-            MappedMatrix::Tiled(t) => {
-                t.tiles()[0].adc_full_scale() * t.tile_grid().0 as f32
-            }
-            MappedMatrix::Sliced(s) => s
-                .slices()
-                .iter()
-                .zip(s.slice_scales())
-                .map(|(t, &sc)| t.tiles()[0].adc_full_scale() * t.tile_grid().0 as f32 * sc)
-                .sum(),
-        }
+        self.slices()
+            .iter()
+            .zip(self.slice_scales())
+            .map(|(t, &sc)| t.tiles()[0].adc_full_scale() * t.tile_grid().0 as f32 * sc)
+            .sum()
     }
 
     fn utilization(&self, config: &CrossbarConfig) -> f32 {
-        let (m, n) = self.shape();
-        let copies = match self {
-            MappedMatrix::Tiled(_) => 1,
-            MappedMatrix::Sliced(s) => s.num_slices(),
-        };
-        (m * n * copies) as f32 / (self.tile_count() * config.rows * config.cols) as f32
+        let slices = self.slices();
+        let (m, n) = slices[0].shape();
+        (m * n * slices.len()) as f32 / (self.tile_count() * config.rows * config.cols) as f32
     }
 }
 
@@ -391,15 +353,7 @@ impl<'a> MappedNetwork<'a> {
             };
             layers.insert(key.to_owned(), MappedLayer { matrix, orientation });
         });
-        let mut mapped =
-            MappedNetwork { net: Cow::Borrowed(net), spec: *spec, layers, parity: false };
-        if spec.ir_drop > 0.0 {
-            let model = IrDropModel::new(spec.ir_drop);
-            for layer in mapped.layers.values_mut() {
-                layer.matrix.apply_ir_drop(&model);
-            }
-        }
-        mapped
+        MappedNetwork { net: Cow::Borrowed(net), spec: *spec, layers, parity: false }
     }
 
     /// The digital network the backend was programmed from (structure,
@@ -408,38 +362,37 @@ impl<'a> MappedNetwork<'a> {
         &self.net
     }
 
+    /// Every crossbar tile of the network in the order the RNG stream
+    /// visits them: layer key, then slice (LSB first), then row-major
+    /// grid position.
+    fn tiles_mut(&mut self) -> impl Iterator<Item = &mut Crossbar> {
+        self.layers.values_mut().flat_map(|layer| layer.matrix.tiles_mut())
+    }
+
     /// Freezes a fraction of cells across every mapped layer.
     ///
     /// # Panics
     ///
     /// Panics if `fraction` is not in `[0, 1]`.
     pub fn inject_stuck_cells(&mut self, fault: CellFault, fraction: f64, rng: &mut SeededRng) {
-        for layer in self.layers.values_mut() {
-            layer.matrix.inject_stuck_cells(fault, fraction, rng);
-        }
+        self.tiles_mut().for_each(|tile| tile.inject_stuck_cells(fault, fraction, rng));
     }
 
     /// Applies lognormal conductance disturbance to every mapped layer.
     pub fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
-        for layer in self.layers.values_mut() {
-            layer.matrix.disturb(sigma, rng);
-        }
+        self.tiles_mut().for_each(|tile| tile.disturb(sigma, rng));
     }
 
     /// Flips cells with the given probability across every mapped layer
-    /// (key order, one continuous RNG stream) — sparse transient soft
-    /// errors, the device-level image of the digital `RandomSoftError`
-    /// fault. Returns the flipped cell count.
+    /// (one continuous RNG stream) — sparse transient soft errors, the
+    /// device-level image of the digital `RandomSoftError` fault. Returns
+    /// the flipped cell count.
     ///
     /// # Panics
     ///
     /// Panics if `probability` is not in `[0, 1]`.
     pub fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
-        let mut flipped = 0usize;
-        for layer in self.layers.values_mut() {
-            flipped += layer.matrix.flip_cells(probability, rng);
-        }
-        flipped
+        self.tiles_mut().map(|tile| tile.flip_cells(probability, rng)).sum()
     }
 
     /// Enables online soft-error tolerance: every tile captures XOR parity
@@ -447,17 +400,13 @@ impl<'a> MappedNetwork<'a> {
     /// parity enabled on the fresh state.
     pub fn enable_parity(&mut self) {
         self.parity = true;
-        for layer in self.layers.values_mut() {
-            layer.matrix.enable_parity();
-        }
+        self.tiles_mut().for_each(Crossbar::enable_parity);
     }
 
     /// Re-baselines every tile's parity checksums to the current
     /// conductances (acknowledging writes or expected aging).
     pub fn refresh_parity(&mut self) {
-        for layer in self.layers.values_mut() {
-            layer.matrix.refresh_parity();
-        }
+        self.tiles_mut().for_each(Crossbar::refresh_parity);
     }
 
     /// Scrubs every tile in-situ against its parity checksums, restoring
@@ -465,17 +414,13 @@ impl<'a> MappedNetwork<'a> {
     /// (empty when parity was never enabled).
     pub fn scrub_parity(&mut self) -> ScrubOutcome {
         let mut outcome = ScrubOutcome::default();
-        for layer in self.layers.values_mut() {
-            outcome.merge(layer.matrix.scrub_parity());
-        }
+        self.tiles_mut().for_each(|tile| outcome.merge(tile.scrub_parity()));
         outcome
     }
 
     /// Applies conductance drift to every mapped layer.
     pub fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-        for layer in self.layers.values_mut() {
-            layer.matrix.drift(nu, time, rng);
-        }
+        self.tiles_mut().for_each(|tile| tile.drift(nu, time, rng));
     }
 
     /// Freezes one weight (digital coordinates within the named
@@ -492,8 +437,7 @@ impl<'a> MappedNetwork<'a> {
     }
 
     /// Reprograms one mapped parameter with new digital weights
-    /// (repair/reprogramming path); IR drop is re-applied if the spec
-    /// enables it.
+    /// (repair/reprogramming path), IR drop included.
     ///
     /// # Panics
     ///
@@ -503,11 +447,8 @@ impl<'a> MappedNetwork<'a> {
         let layer = self.mapped_mut(key);
         let oriented = layer.orient(weights);
         layer.matrix = MappedMatrix::program(&oriented, &spec, rng);
-        if spec.ir_drop > 0.0 {
-            layer.matrix.apply_ir_drop(&IrDropModel::new(spec.ir_drop));
-        }
         if parity {
-            layer.matrix.enable_parity();
+            layer.matrix.tiles_mut().for_each(Crossbar::enable_parity);
         }
         *self.net.to_mut().param_mut(key).expect("mapped keys are network parameters") =
             weights.clone();
@@ -1058,6 +999,95 @@ mod tests {
                 assert!(orig.unwrap().l1_distance(t) < 1e-6, "rewrite did not restore weights");
             }
         });
+    }
+
+    /// FNV-1a over the bits of every read-back parameter, in key order.
+    fn readback_digest(backend: &MappedNetwork) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        InferenceBackend::readback(backend).for_each_param(|_, t| {
+            for b in t.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        });
+        h
+    }
+
+    #[test]
+    fn tile_walk_matches_pinned_digests() {
+        // Pinned from the per-level forwarding chain the tile walk
+        // replaced. 8×6 tiles split the mlp's 12×16 and 16×5 weights into
+        // 6 and 2 tiles, and the bit-sliced net keeps 4 slices of each, so
+        // any change to the layer → slice → tile order moves the RNG
+        // stream and the digests.
+        let config =
+            CrossbarConfig { rows: 8, cols: 6, write_noise: 0.05, ..CrossbarConfig::default() };
+        let analog = BackendSpec { ir_drop: 0.02, ..BackendSpec::analog(config) };
+        let sliced = BackendSpec::bitsliced(CrossbarConfig { cell_bits: 2, ..config }, 8);
+        let mut got = Vec::new();
+        for spec in [analog, sliced] {
+            let mut rng = SeededRng::new(10);
+            let net = tiny_mlp(12, 16, 5, &mut rng);
+            let mut m = MappedNetwork::program(&net, &spec, &mut rng);
+            m.inject_stuck_cells(CellFault::StuckHigh, 0.05, &mut rng);
+            got.push(("stuck", readback_digest(&m)));
+            m.disturb(0.1, &mut rng);
+            got.push(("disturb", readback_digest(&m)));
+            m.drift(0.2, 1.0, &mut rng);
+            got.push(("drift", readback_digest(&m)));
+            got.push(("flipped", m.flip_cells(0.01, &mut rng) as u64));
+            got.push(("flip", readback_digest(&m)));
+            m.enable_parity();
+            got.push(("flipped", m.flip_cells(0.005, &mut rng) as u64));
+            let outcome = m.scrub_parity();
+            got.push(("corrected", outcome.corrected as u64));
+            got.push(("uncorrectable", outcome.uncorrectable as u64));
+            got.push(("scrub", readback_digest(&m)));
+            // A stale baseline would read the drift as corruption.
+            m.drift(0.2, 1.0, &mut rng);
+            m.refresh_parity();
+            m.flip_cells(0.005, &mut rng);
+            let outcome = m.scrub_parity();
+            got.push(("corrected", outcome.corrected as u64));
+            got.push(("uncorrectable", outcome.uncorrectable as u64));
+            got.push(("refresh", readback_digest(&m)));
+            // A rewrite re-applies IR drop and keeps parity enabled.
+            let golden = net.param("layer0.weight").expect("mlp weight").clone();
+            m.write_layer("layer0.weight", &golden, &mut rng);
+            m.flip_cells(0.005, &mut rng);
+            m.scrub_parity();
+            got.push(("rewrite", readback_digest(&m)));
+        }
+        let pinned = [
+            // analog, IR drop on
+            ("stuck", 0x9111_df24_5ed4_5f42),
+            ("disturb", 0x5646_8c9c_fcbf_9688),
+            ("drift", 0xeb76_85fa_2158_fc3d),
+            ("flipped", 4),
+            ("flip", 0xbfc5_4412_4ef3_5ba8),
+            ("flipped", 2),
+            ("corrected", 2),
+            ("uncorrectable", 0),
+            ("scrub", 0xbfc5_4412_4ef3_5ba8),
+            ("corrected", 3),
+            ("uncorrectable", 0),
+            ("refresh", 0xcd26_7cfe_714a_3e2b),
+            ("rewrite", 0x4d95_03cc_0fa8_1d89),
+            // bit-sliced, 4 slices
+            ("stuck", 0x0bd0_98a5_b797_3bb4),
+            ("disturb", 0x9575_5ab2_f837_75df),
+            ("drift", 0xac5f_0e88_7e9e_5d92),
+            ("flipped", 23),
+            ("flip", 0xa019_a1a8_8928_2ddd),
+            ("flipped", 12),
+            ("corrected", 12),
+            ("uncorrectable", 0),
+            ("scrub", 0xa019_a1a8_8928_2ddd),
+            ("corrected", 13),
+            ("uncorrectable", 0),
+            ("refresh", 0xea11_a1b4_efb9_6496),
+            ("rewrite", 0xbe33_d83a_d469_0759),
+        ];
+        assert_eq!(got, pinned);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! recombination stays in `f32`.
 
 use crate::quant::{narrow_code, round_fast};
-use crate::{CellFault, CrossbarConfig, IrDropModel, Quantizer, ScrubOutcome, TiledMatrix};
+use crate::{CrossbarConfig, Quantizer, TiledMatrix};
 use healthmon_tensor::{SeededRng, Tensor};
 
 /// A weight matrix stored bit-sliced across multiple crossbar arrays.
@@ -162,79 +162,6 @@ impl BitSlicedMatrix {
         &self.slice_scale
     }
 
-    /// Total crossbar tiles across all slices.
-    pub fn tile_count(&self) -> usize {
-        self.slices.iter().map(TiledMatrix::tile_count).sum()
-    }
-
-    /// Injects stuck cells into every slice array (LSB slice first, one
-    /// continuous RNG stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `[0, 1]`.
-    pub fn inject_stuck_cells(&mut self, fault: CellFault, fraction: f64, rng: &mut SeededRng) {
-        for slice in &mut self.slices {
-            slice.inject_stuck_cells(fault, fraction, rng);
-        }
-    }
-
-    /// Applies conductance drift to every slice array (LSB slice first,
-    /// one continuous RNG stream).
-    pub fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-        for slice in &mut self.slices {
-            slice.drift(nu, time, rng);
-        }
-    }
-
-    /// Applies lognormal conductance disturbance to every slice array.
-    pub fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
-        for slice in &mut self.slices {
-            slice.disturb(sigma, rng);
-        }
-    }
-
-    /// Flips cells with probability `probability` in every slice array
-    /// (LSB slice first, one continuous RNG stream). Returns the total
-    /// flipped cell count.
-    pub fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
-        let mut flipped = 0usize;
-        for slice in &mut self.slices {
-            flipped += slice.flip_cells(probability, rng);
-        }
-        flipped
-    }
-
-    /// Enables online parity tolerance on every slice array.
-    pub fn enable_parity(&mut self) {
-        for slice in &mut self.slices {
-            slice.enable_parity();
-        }
-    }
-
-    /// Re-baselines the parity checksums of every slice array.
-    pub fn refresh_parity(&mut self) {
-        for slice in &mut self.slices {
-            slice.refresh_parity();
-        }
-    }
-
-    /// Scrubs every slice array against its parity checksums.
-    pub fn scrub_parity(&mut self) -> ScrubOutcome {
-        let mut outcome = ScrubOutcome::default();
-        for slice in &mut self.slices {
-            outcome.merge(slice.scrub_parity());
-        }
-        outcome
-    }
-
-    /// Applies the first-order IR-drop model to every slice array.
-    pub fn apply_ir_drop(&mut self, model: &IrDropModel) {
-        for slice in &mut self.slices {
-            slice.apply_ir_drop(model);
-        }
-    }
-
     /// Freezes the weight at logical position `(row, col)` to read as
     /// (approximately) `weight`: the magnitude is re-quantized to the
     /// slice code space and each slice's digit is stuck in its array.
@@ -274,28 +201,26 @@ impl BitSlicedMatrix {
         out
     }
 
-    /// Crossbar matvec with shift-add recombination: each slice computes
-    /// its partial product in analog, the digital periphery scales by the
-    /// slice radix and accumulates.
+    /// Crossbar matvec with shift-add recombination: the `batch == 1` case
+    /// of [`BitSlicedMatrix::matmul`].
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` differs from the row count.
     pub fn matvec(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.len(), self.rows, "input length mismatch");
-        let mut out = Tensor::zeros(&[self.cols]);
-        for (slice, &scale) in self.slices.iter().zip(&self.slice_scale) {
-            out.axpy(scale, &slice.matvec(input));
-        }
-        out
+        let batch = input
+            .reshape(&[1, self.rows])
+            .expect("1-D input reshapes to a single-row batch");
+        self.matmul(&batch)
+            .reshape(&[self.cols])
+            .expect("single-row output reshapes to 1-D")
     }
 
     /// Batched crossbar product with shift-add recombination: every slice
     /// runs one tile-level GEMM over the whole `[batch, rows]` pattern set
     /// (see [`TiledMatrix::matmul`]), then the digital periphery scales by
-    /// the slice radix and accumulates — the batch counterpart of
-    /// [`BitSlicedMatrix::matvec`], with the identical per-element
-    /// recombination order.
+    /// the slice radix and accumulates.
     ///
     /// # Panics
     ///
@@ -314,7 +239,7 @@ impl BitSlicedMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CellFault;
+    use crate::{CellFault, IrDropModel};
 
     #[test]
     fn slice_count() {
@@ -404,7 +329,9 @@ mod tests {
         let run = |slice_idx: usize, rng: &mut SeededRng| {
             let mut s = BitSlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), rng);
             let mut fault_rng = SeededRng::new(99);
-            s.slices_mut()[slice_idx].inject_stuck_cells(CellFault::StuckLow, 0.5, &mut fault_rng);
+            for tile in s.slices_mut()[slice_idx].tiles_mut() {
+                tile.inject_stuck_cells(CellFault::StuckLow, 0.5, &mut fault_rng);
+            }
             w.l1_distance(&s.effective_weights())
         };
         let lsb_damage = run(0, &mut rng);
@@ -465,13 +392,17 @@ mod tests {
         let w = Tensor::randn(&[8, 8], &mut rng);
         let mut s = BitSlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
         let before = s.effective_weights().norm_l1();
-        s.drift(0.5, 3.0, &mut rng);
+        for tile in s.slices_mut().iter_mut().flat_map(TiledMatrix::tiles_mut) {
+            tile.drift(0.5, 3.0, &mut rng);
+        }
         let after = s.effective_weights().norm_l1();
         assert!(after < before, "drift should shrink: {before} -> {after}");
 
         let mut s = BitSlicedMatrix::program(&w, 8, 2, &CrossbarConfig::ideal(), &mut rng);
         let before = s.effective_weights();
-        s.apply_ir_drop(&IrDropModel::new(0.05));
+        for tile in s.slices_mut().iter_mut().flat_map(TiledMatrix::tiles_mut) {
+            tile.apply_ir_drop(&IrDropModel::new(0.05));
+        }
         assert!(before.l1_distance(&s.effective_weights()) > 1e-3);
     }
 

@@ -182,6 +182,24 @@ struct IntSeed {
     colsums: Vec<i32>,
 }
 
+impl IntSeed {
+    /// Wraps a `[rows, cols_padded]` code image with its per-row-block
+    /// and whole-tile column sums.
+    fn new(codes: Vec<i16>, rows: usize, cols_padded: usize) -> Self {
+        let mut block_colsums = vec![0i32; rows.div_ceil(ROW_BLOCK) * cols_padded];
+        let mut colsums = vec![0i32; cols_padded];
+        for r in 0..rows {
+            let block = &mut block_colsums[(r / ROW_BLOCK) * cols_padded..];
+            for c in 0..cols_padded {
+                let k = i32::from(codes[r * cols_padded + c]);
+                block[c] += k;
+                colsums[c] += k;
+            }
+        }
+        IntSeed { codes, block_colsums, colsums }
+    }
+}
+
 /// The DAC level grid of a tile: voltage of level `idx` is
 /// `lo + idx·step`. Derived from [`INPUT_RANGE`] and `dac_bits` only, so
 /// tiles sharing `dac_bits` (every tile of a [`crate::TiledMatrix`])
@@ -451,20 +469,7 @@ impl Crossbar {
                     gn[i] = q.quantize(n);
                 }
             }
-            int_seed = codes.map(|codes| {
-                let n_blocks = rows.div_ceil(ROW_BLOCK);
-                let mut block_colsums = vec![0i32; n_blocks * cols_padded];
-                let mut colsums = vec![0i32; cols_padded];
-                for r in 0..rows {
-                    let block = &mut block_colsums[(r / ROW_BLOCK) * cols_padded..];
-                    for c in 0..cols_padded {
-                        let k = i32::from(codes[r * cols_padded + c]);
-                        block[c] += k;
-                        colsums[c] += k;
-                    }
-                }
-                Box::new(IntSeed { codes, block_colsums, colsums })
-            });
+            int_seed = codes.map(|codes| Box::new(IntSeed::new(codes, rows, cols_padded)));
         }
         if config.write_noise > 0.0 {
             // Bulk write-noise pass: one block-sampled lognormal factor per
@@ -605,16 +610,7 @@ impl Crossbar {
                 codes[r * cols_padded + c] = k.clamp(-max_code, max_code) as i16;
             }
         }
-        let mut block_colsums = vec![0i32; n_blocks * cols_padded];
-        let mut colsums = vec![0i32; cols_padded];
-        for r in 0..self.rows {
-            let block = &mut block_colsums[(r / ROW_BLOCK) * cols_padded..];
-            for c in 0..cols_padded {
-                let k = i32::from(codes[r * cols_padded + c]);
-                block[c] += k;
-                colsums[c] += k;
-            }
-        }
+        let IntSeed { codes, block_colsums, colsums } = IntSeed::new(codes, self.rows, cols_padded);
         let drop = self.int_drop_factors(n_blocks, cols_padded);
         Some(IntState { codes, block_colsums, colsums, drop, step_w, cols_padded })
     }
@@ -814,13 +810,7 @@ impl Crossbar {
             drop(dac);
             if let Some(codes) = codes {
                 if tel::enabled() {
-                    record_converter(
-                        input.as_slice(),
-                        INPUT_RANGE,
-                        &DAC_SAMPLES,
-                        &DAC_CLIPPED,
-                        &DAC_SATURATION,
-                    );
+                    self.record_dac(input.as_slice());
                 }
                 // The integer kernel fuses the ADC rescale into its tile
                 // boundary, so its time lands in the accumulate phase.
@@ -833,13 +823,7 @@ impl Crossbar {
         let mut out = if self.config.dac_bits > 0 {
             let mut v = input.clone();
             if tel::enabled() {
-                record_converter(
-                    v.as_slice(),
-                    INPUT_RANGE,
-                    &DAC_SAMPLES,
-                    &DAC_CLIPPED,
-                    &DAC_SATURATION,
-                );
+                self.record_dac(v.as_slice());
             }
             let dac = tel::timed(&PHASE_DAC_NS);
             let q = Quantizer::new(-INPUT_RANGE, INPUT_RANGE, self.config.dac_bits);

@@ -1,7 +1,7 @@
 //! Tiled mapping of arbitrary weight matrices onto fixed-geometry
 //! crossbar tiles.
 
-use crate::{CellFault, Crossbar, CrossbarConfig, IrDropModel, ScrubOutcome};
+use crate::{Crossbar, CrossbarConfig};
 use healthmon_tensor::{SeededRng, Tensor};
 use healthmon_telemetry as tel;
 
@@ -178,69 +178,40 @@ impl TiledMatrix {
         assert_eq!(input.ndim(), 2, "batched matmul expects 2-D input");
         assert_eq!(input.shape()[1], self.rows, "inner dimension mismatch");
         let batch = input.shape()[0];
-        // Integer fast path: when every tile shares one DAC grid and has
-        // integer state, the whole input quantizes to DAC codes ONCE and
-        // each row-block tile reads its code segment in place — no
-        // per-(row, column)-block segment copies, no per-tile re-quantization.
-        if let Some(out) = self.int_matmul(input, batch) {
-            return out;
+        if let Some(codes) = self.shared_dac_codes(input) {
+            return self.scatter(batch, |tile, r0| {
+                tile.int_matmul_codes(&codes, batch, self.rows, r0)
+                    .expect("integer state verified for every tile")
+            });
         }
         let x = input.as_slice();
-        let row_extent = self.tiles[0].rows();
-        let col_extent = self.tiles[0].cols();
-        let mut out = Tensor::zeros(&[batch, self.cols]);
         let mut seg = Vec::new();
-        for br in 0..self.tile_rows {
-            let r0 = br * row_extent;
-            for bc in 0..self.tile_cols {
-                let tile = &self.tiles[br * self.tile_cols + bc];
-                let c0 = bc * col_extent;
-                // Word-line segment for this row block: input columns
-                // [r0, r0 + tile.rows()) of every batch row.
-                seg.clear();
-                for b in 0..batch {
-                    seg.extend_from_slice(&x[b * self.rows + r0..b * self.rows + r0 + tile.rows()]);
-                }
-                let seg_t = Tensor::from_vec(std::mem::take(&mut seg), &[batch, tile.rows()])
-                    .expect("segment shape matches tile rows");
-                let partial = tile.matmul(&seg_t);
-                seg = seg_t.into_vec(); // reclaim the buffer for the next tile
-                let p = partial.as_slice();
-                let o = out.as_mut_slice();
-                // The first row block ASSIGNS instead of accumulating into
-                // the zero-initialized output: 0.0 + (−0.0) would flip a
-                // negative-zero partial sum to +0.0 and break the
-                // bit-identity of the single-tile case with the plain GEMM.
-                if br == 0 {
-                    for b in 0..batch {
-                        for j in 0..tile.cols() {
-                            o[b * self.cols + c0 + j] = p[b * tile.cols() + j];
-                        }
-                    }
-                } else {
-                    for b in 0..batch {
-                        for j in 0..tile.cols() {
-                            o[b * self.cols + c0 + j] += p[b * tile.cols() + j];
-                        }
-                    }
-                }
+        self.scatter(batch, |tile, r0| {
+            // Word-line segment for this row block: input columns
+            // [r0, r0 + tile.rows()) of every batch row.
+            seg.clear();
+            for b in 0..batch {
+                seg.extend_from_slice(&x[b * self.rows + r0..b * self.rows + r0 + tile.rows()]);
             }
-        }
-        out
+            let seg_t = Tensor::from_vec(std::mem::take(&mut seg), &[batch, tile.rows()])
+                .expect("segment shape matches tile rows");
+            let partial = tile.matmul(&seg_t);
+            seg = seg_t.into_vec(); // reclaim the buffer for the next tile
+            partial
+        })
     }
 
-    /// Integer fast path for [`TiledMatrix::matmul`]: quantizes the whole
-    /// input to DAC codes once and hands every tile its code segment in
-    /// place (`stride = m`, `offset = r0`), skipping the per-tile `f32`
-    /// segment gather and re-quantization of the reference path. Returns
-    /// `None` — caller falls back to the reference path — when any tile
-    /// lacks integer state, the tiles' DAC grids diverge (a caller
-    /// re-calibrated one via [`TiledMatrix::tiles_mut`]), or the input
-    /// contains NaN. Accumulation across row blocks runs in the same
-    /// ascending grid order as the reference path, and each tile's
+    /// DAC codes for the integer fast path of [`TiledMatrix::matmul`]: when
+    /// every tile shares one DAC grid and has integer state, the whole
+    /// input is quantized once, so every tile reads its code segment in
+    /// place (`stride = m`, `offset = r0`) instead of gathering and
+    /// re-quantizing an `f32` segment. `None` — the caller takes the
+    /// reference path — when any tile lacks integer state, the tiles' DAC
+    /// grids diverge (a caller re-calibrated one via
+    /// [`TiledMatrix::tiles_mut`]), or the input contains NaN. Each tile's
     /// integer accumulation is order-fixed, so results are bit-identical
     /// at any thread count and `matvec` stays the `batch == 1` case.
-    fn int_matmul(&self, input: &Tensor, batch: usize) -> Option<Tensor> {
+    fn shared_dac_codes(&self, input: &Tensor) -> Option<Vec<i32>> {
         let grid = self.tiles[0].dac_grid()?;
         if !self.tiles.iter().all(|t| t.dac_grid() == Some(grid) && t.exec().int.is_some()) {
             return None;
@@ -249,104 +220,39 @@ impl TiledMatrix {
         if tel::enabled() {
             self.tiles[0].record_dac(input.as_slice());
         }
-        let row_extent = self.tiles[0].rows();
-        let col_extent = self.tiles[0].cols();
+        Some(codes)
+    }
+
+    /// Computes `partial(tile, r0)` (`[batch, tile cols]`, `r0` the tile's
+    /// first word line) for every tile in row-major grid order and sums
+    /// the partials of each column block across row blocks in ascending
+    /// order into the `[batch, n]` output.
+    fn scatter(&self, batch: usize, mut partial: impl FnMut(&Crossbar, usize) -> Tensor) -> Tensor {
+        let row_extent = self.tile_rows_extent();
+        let col_extent = self.tile_cols_extent();
         let mut out = Tensor::zeros(&[batch, self.cols]);
+        let o = out.as_mut_slice();
+        // The first row block ASSIGNS instead of accumulating into the
+        // zero-initialized output: 0.0 + (−0.0) would flip a negative-zero
+        // partial sum to +0.0 and break the bit-identity of the
+        // single-tile case with the plain GEMM.
         for br in 0..self.tile_rows {
-            let r0 = br * row_extent;
             for bc in 0..self.tile_cols {
                 let tile = &self.tiles[br * self.tile_cols + bc];
-                let c0 = bc * col_extent;
-                let partial = tile
-                    .int_matmul_codes(&codes, batch, self.rows, r0)
-                    .expect("integer state verified for every tile");
-                let p = partial.as_slice();
-                let o = out.as_mut_slice();
-                // Same first-row-block-assigns structure as the reference
-                // path (preserves negative-zero partial sums).
-                if br == 0 {
-                    for b in 0..batch {
-                        for j in 0..tile.cols() {
-                            o[b * self.cols + c0 + j] = p[b * tile.cols() + j];
-                        }
-                    }
-                } else {
-                    for b in 0..batch {
-                        for j in 0..tile.cols() {
-                            o[b * self.cols + c0 + j] += p[b * tile.cols() + j];
-                        }
+                let (c0, w) = (bc * col_extent, tile.cols());
+                let p = partial(tile, br * row_extent);
+                for b in 0..batch {
+                    let src = &p.as_slice()[b * w..(b + 1) * w];
+                    let dst = &mut o[b * self.cols + c0..b * self.cols + c0 + w];
+                    if br == 0 {
+                        dst.copy_from_slice(src);
+                    } else {
+                        dst.iter_mut().zip(src).for_each(|(d, s)| *d += s);
                     }
                 }
             }
         }
-        Some(out)
-    }
-
-    /// Injects stuck cells into every tile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `[0, 1]`.
-    pub fn inject_stuck_cells(&mut self, fault: CellFault, fraction: f64, rng: &mut SeededRng) {
-        for tile in &mut self.tiles {
-            tile.inject_stuck_cells(fault, fraction, rng);
-        }
-    }
-
-    /// Applies lognormal conductance disturbance to every tile.
-    pub fn disturb(&mut self, sigma: f32, rng: &mut SeededRng) {
-        for tile in &mut self.tiles {
-            tile.disturb(sigma, rng);
-        }
-    }
-
-    /// Flips cells with probability `probability` in every tile (one
-    /// continuous RNG stream in row-major grid order; see
-    /// [`Crossbar::flip_cells`]). Returns the total flipped cell count.
-    pub fn flip_cells(&mut self, probability: f64, rng: &mut SeededRng) -> usize {
-        let mut flipped = 0usize;
-        for tile in &mut self.tiles {
-            flipped += tile.flip_cells(probability, rng);
-        }
-        flipped
-    }
-
-    /// Enables online parity tolerance on every tile.
-    pub fn enable_parity(&mut self) {
-        for tile in &mut self.tiles {
-            tile.enable_parity();
-        }
-    }
-
-    /// Re-baselines the parity checksums of every tile.
-    pub fn refresh_parity(&mut self) {
-        for tile in &mut self.tiles {
-            tile.refresh_parity();
-        }
-    }
-
-    /// Scrubs every tile against its parity checksums, merging outcomes.
-    pub fn scrub_parity(&mut self) -> ScrubOutcome {
-        let mut outcome = ScrubOutcome::default();
-        for tile in &mut self.tiles {
-            outcome.merge(tile.scrub_parity());
-        }
-        outcome
-    }
-
-    /// Applies conductance drift toward the high-resistance state to every
-    /// tile (see [`Crossbar::drift`]).
-    pub fn drift(&mut self, nu: f32, time: f32, rng: &mut SeededRng) {
-        for tile in &mut self.tiles {
-            tile.drift(nu, time, rng);
-        }
-    }
-
-    /// Applies the first-order IR-drop model to every tile.
-    pub fn apply_ir_drop(&mut self, model: &IrDropModel) {
-        for tile in &mut self.tiles {
-            tile.apply_ir_drop(model);
-        }
+        out
     }
 
     /// Freezes the differential pair at logical matrix position
@@ -373,6 +279,7 @@ impl TiledMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CellFault, IrDropModel};
 
     #[test]
     fn single_tile_matches_crossbar() {
@@ -551,13 +458,17 @@ mod tests {
         let w = Tensor::full(&[8, 8], 0.5);
         let mut drifted = TiledMatrix::program(&w, &config, &mut rng);
         let before = drifted.effective_weights().norm_l1();
-        drifted.drift(0.5, 3.0, &mut rng);
+        for tile in drifted.tiles_mut() {
+            tile.drift(0.5, 3.0, &mut rng);
+        }
         let back = drifted.effective_weights();
         assert!(back.norm_l1() < before, "drift did not shrink the tiled matrix");
         assert!(back.as_slice().iter().all(|&v| (0.0..=0.5 + 1e-5).contains(&v)));
 
         let mut dropped = TiledMatrix::program(&w, &config, &mut rng);
-        dropped.apply_ir_drop(&IrDropModel::new(0.05));
+        for tile in dropped.tiles_mut() {
+            tile.apply_ir_drop(&IrDropModel::new(0.05));
+        }
         let back = dropped.effective_weights();
         // Every tile's far corner is attenuated below its origin cell.
         for br in 0..2 {
@@ -576,7 +487,9 @@ mod tests {
         let mut tiled = TiledMatrix::program(&w, &CrossbarConfig::ideal(), &mut rng);
         let x = Tensor::randn(&[20], &mut rng);
         let clean = tiled.matvec(&x);
-        tiled.inject_stuck_cells(CellFault::StuckLow, 0.3, &mut rng);
+        for tile in tiled.tiles_mut() {
+            tile.inject_stuck_cells(CellFault::StuckLow, 0.3, &mut rng);
+        }
         let faulty = tiled.matvec(&x);
         assert!(clean.l1_distance(&faulty) > 0.01);
     }

@@ -68,7 +68,9 @@ fn main() {
         let dict = model.state_dict();
         let (_, w0) = &dict[0];
         let mut tiled = TiledMatrix::program(w0, &config, &mut deploy_rng);
-        tiled.inject_stuck_cells(CellFault::StuckLow, fraction, &mut deploy_rng);
+        for tile in tiled.tiles_mut() {
+            tile.inject_stuck_cells(CellFault::StuckLow, fraction, &mut deploy_rng);
+        }
         let realized = tiled.effective_weights();
         let mut faulty = model.clone();
         let mut replaced = false;

@@ -151,6 +151,21 @@ for t in 1 2 7; do
     cmp "$lt_dir/lifetime_analog_drift_$t.txt" tests/golden/lifetime_analog_drift.txt
 done
 echo "ok: analog drift lifetime byte-identical to its golden under HEALTHMON_THREADS=1/2/7"
+# Two more crossbar lifetime goldens walk every tile mutator: the
+# bit-sliced one stuck cells, disturb and drift across slices, the
+# hardened analog one transient flips and the parity scrub.
+for t in 1 2 7; do
+    HEALTHMON_THREADS=$t "$hm" lifetime --arch mlp --model "$lt_dir/model.json" \
+        --backend bitsliced --drift 0.3 --soft 0.0005 --stuck-lambda 0.5 --epochs 6 --count 8 \
+        > "$lt_dir/lifetime_bitsliced_drift_$t.txt"
+    cmp "$lt_dir/lifetime_bitsliced_drift_$t.txt" tests/golden/lifetime_bitsliced_drift.txt
+    HEALTHMON_THREADS=$t "$hm" lifetime --arch mlp --model "$lt_dir/model.json" \
+        --backend analog --hardened true --soft 0.0001 --epochs 6 --count 8 \
+        > "$lt_dir/lifetime_hardened_analog_$t.txt"
+    cmp "$lt_dir/lifetime_hardened_analog_$t.txt" tests/golden/lifetime_hardened_analog.txt
+done
+echo "ok: bit-sliced and hardened analog lifetimes byte-identical to their goldens"
+echo "    under HEALTHMON_THREADS=1/2/7"
 # Every subcommand of the detect stack runs on every backend.
 for b in digital analog bitsliced; do
     rc=0
