@@ -63,7 +63,7 @@ pub const USAGE: &str = "usage:
                      [--shards N] [--checkpoint-dir <dir>] [--stop-after N]
                      [--report <out.txt>] [--budget N] [--retry N]
                      [--deadline MS] [--quarantine N] [--drift F] [--soft F]
-                     [--bench true] [--trace true] [--metrics <out.jsonl>]
+                     [--trace true] [--metrics <out.jsonl>]
                      [--flight-dir <dir>]  dump a digest-guarded postmortem
                      artifact incident-<device>-<epoch>.json per incident,
                      quarantine or poisoned checkup (see `healthmon flight`)
@@ -77,7 +77,7 @@ pub const USAGE: &str = "usage:
                      fleet's golden device for a zoo model (default: a
                      tiny seed-derived synthetic MLP); chaos spec:
                      panic:P,stall:P,stallms:N,trunc:P,flip:P,poison:P,seed:N
-                     (or `off`); --bench adds a devices/sec line;
+                     (or `off`);
                      exit 0 = fleet completed, 2 = any device quarantined
   healthmon metrics  --file <metrics.jsonl> [--stable-only true] [--format <summary|jsonl|prometheus>]
                      [--last N] [--device I]
@@ -726,8 +726,7 @@ fn cmd_lifetime(args: &ParsedArgs) -> Result<ExitCode, String> {
 /// `--checkpoint-dir`, the run resumes from existing shards (damaged
 /// shards are reported and their devices restart fresh) and rewrites the
 /// shards after every invocation; `--stop-after` bounds the fleet epochs
-/// per invocation. `--bench true` appends a wall-clock devices/sec line
-/// for the load-generator smoke.
+/// per invocation.
 /// Frames retained in a rotating `--snapshot-log` stream.
 const SNAPSHOT_STREAM_FRAMES: usize = 16;
 
@@ -783,7 +782,6 @@ fn cmd_fleet(args: &ParsedArgs) -> Result<ExitCode, String> {
         "quarantine",
         "drift",
         "soft",
-        "bench",
         "trace",
         "metrics",
         "flight-dir",
@@ -822,7 +820,6 @@ fn cmd_fleet(args: &ParsedArgs) -> Result<ExitCode, String> {
     let quarantine: usize = args.get_or("quarantine", 2)?;
     let drift: f32 = args.get_or("drift", 0.05)?;
     let soft: f64 = args.get_or("soft", 0.0)?;
-    let bench: bool = args.get_or("bench", false)?;
     let chaos = ChaosConfig::parse(args.get("chaos").unwrap_or("off"))?;
     if chaos.is_active() {
         // Injected checkup panics are caught by the supervisor and become
@@ -905,8 +902,6 @@ fn cmd_fleet(args: &ParsedArgs) -> Result<ExitCode, String> {
         fleet.set_flight_dir(flight_dir);
     }
 
-    let t0 = std::time::Instant::now();
-    let before_epochs = fleet.total_device_epochs();
     match &snapshot_log {
         None => fleet.run(if stop_after > 0 { Some(stop_after) } else { None }),
         Some(log) => {
@@ -927,7 +922,6 @@ fn cmd_fleet(args: &ParsedArgs) -> Result<ExitCode, String> {
             }
         }
     }
-    let elapsed = t0.elapsed().as_secs_f64();
 
     if let Some(dir) = dir {
         fleet.save_checkpoint(dir).map_err(|e| format!("checkpointing to `{dir}`: {e}"))?;
@@ -936,14 +930,6 @@ fn cmd_fleet(args: &ParsedArgs) -> Result<ExitCode, String> {
     print!("{report}");
     if let Some(path) = args.get("report") {
         std::fs::write(path, &report).map_err(|e| format!("writing `{path}`: {e}"))?;
-    }
-    if bench {
-        // Wall-clock line, deliberately outside the deterministic report.
-        let done = fleet.total_device_epochs() - before_epochs;
-        println!(
-            "throughput: {:.1} device-epochs/sec ({done} device-epochs in {elapsed:.3}s)",
-            done as f64 / elapsed.max(1e-9)
-        );
     }
     telemetry_finish(metrics.as_deref())?;
     if fleet.quarantined().is_empty() {

@@ -230,7 +230,7 @@ impl Gauge {
 
 /// Number of histogram buckets: one per power of two of a `u64`, plus a
 /// dedicated zero bucket at index 0.
-const N_BUCKETS: usize = 65;
+pub(crate) const N_BUCKETS: usize = 65;
 
 /// A log2-bucketed histogram of `u64` samples (typically nanoseconds or
 /// element counts). Bucket `i` (for `i >= 1`) holds samples in

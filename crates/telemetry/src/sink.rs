@@ -8,7 +8,7 @@
 //! `"stable":true` lines; [`parse_jsonl`] round-trips the whole file.
 
 use crate::metrics::{
-    CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot,
+    CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, N_BUCKETS,
 };
 use crate::span::{EventSnapshot, SpanSnapshot};
 use healthmon_serdes::{parse, Json, JsonError};
@@ -173,7 +173,14 @@ pub fn parse_jsonl(text: &str) -> Result<MetricsSnapshot, JsonError> {
                     if pair.len() != 2 {
                         return Err(JsonError::invalid("histogram bucket is not a pair"));
                     }
-                    buckets.push((parse_u64(&pair[0])? as u32, parse_u64(&pair[1])?));
+                    let index = parse_u64(&pair[0])?;
+                    if index >= N_BUCKETS as u64 {
+                        return Err(JsonError::invalid(format!(
+                            "histogram bucket index {index} is above {}",
+                            N_BUCKETS - 1
+                        )));
+                    }
+                    buckets.push((index as u32, parse_u64(&pair[1])?));
                 }
                 snap.histograms.push(HistogramSnapshot {
                     name,
@@ -415,6 +422,22 @@ mod tests {
         assert!(text.contains("run"));
         assert!(text.contains("step"));
         assert!(text.contains("sink.event something happened"));
+    }
+
+    #[test]
+    fn parse_rejects_out_of_range_bucket_index() {
+        let line = |index: &str| {
+            format!(
+                "{{\"kind\":\"histogram\",\"name\":\"h\",\"stable\":true,\
+                 \"count\":1,\"sum\":1,\"buckets\":[[{index},1]]}}\n"
+            )
+        };
+        assert_eq!(parse_jsonl(&line("64")).unwrap().histograms[0].buckets, vec![(64, 1)]);
+        // 2^32 + 3 used to truncate to bucket 3.
+        for index in ["65", "4294967299", "9007199254740992"] {
+            let err = parse_jsonl(&line(index)).unwrap_err();
+            assert!(err.to_string().contains("bucket index"), "{index}: {err}");
+        }
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //!
 //! Three variants cover everything backprop needs: `A·B`, `Aᵀ·B`, and
 //! `A·Bᵀ`. All three funnel into one cache-blocked, register-tiled GEMM:
-//! the right-hand operand is packed once into `NR`-column panels so the
-//! micro-kernel streams it contiguously, and an `MR`×`NR` register tile
-//! amortizes every packed load across [`MR`] output rows. Large problems
-//! fan out across the persistent [`crate::pool`] by row block.
+//! an `MR`×`NR` register tile amortizes every load of the right-hand
+//! operand across [`MR`] output rows. The micro-kernels read B one
+//! `NR`-column panel at a time with a row stride: `NR` for a panel packed
+//! contiguously, `n` for row-major B read in place. A row-major B is
+//! packed only when each panel is reused by more than two row tiles
+//! (`m > 2·MR`); a small batch — the 8-pattern checkup — reads it in
+//! place and packs only the final partial panel. Large problems fan out
+//! across the persistent [`crate::pool`] by row block.
 //!
 //! # Bit-exactness
 //!
@@ -21,6 +25,7 @@
 use crate::pool;
 use crate::Tensor;
 use healthmon_telemetry as tel;
+use std::borrow::Cow;
 
 // GEMM call and flop counts are per-work-item and thread-count-invariant
 // (Stable); the chosen fan-out and per-block kernel dispatch counts vary
@@ -50,15 +55,16 @@ fn thread_count(rows: usize, work: usize) -> usize {
     pool::max_threads().min(rows).max(1)
 }
 
-/// Packs row-major `b` (`k×n`) into `⌈n/NR⌉` column panels, each laid out
-/// `[k][NR]` contiguously and zero-padded on the right in the final panel.
-fn pack_b(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+/// Packs row-major `b` (`k×n`) from panel `first` on into column panels,
+/// each laid out `[k][NR]` contiguously and zero-padded on the right in
+/// the final panel.
+fn pack_b(b: &[f32], k: usize, n: usize, first: usize) -> Vec<f32> {
     let n_panels = n.div_ceil(NR);
-    let mut packed = vec![0.0f32; n_panels * k * NR];
-    for pi in 0..n_panels {
+    let mut packed = vec![0.0f32; (n_panels - first) * k * NR];
+    for pi in first..n_panels {
         let j0 = pi * NR;
         let w = NR.min(n - j0);
-        let panel = &mut packed[pi * k * NR..(pi + 1) * k * NR];
+        let panel = &mut packed[(pi - first) * k * NR..(pi - first + 1) * k * NR];
         for p in 0..k {
             let src = &b[p * n + j0..p * n + j0 + w];
             panel[p * NR..p * NR + w].copy_from_slice(src);
@@ -87,7 +93,46 @@ fn pack_bt(bt: &[f32], k: usize, n: usize) -> Vec<f32> {
     packed
 }
 
-/// Computes `ROWS` consecutive output rows against one packed panel.
+/// The right-hand operand as the micro-kernels read it: one `NR`-column
+/// panel at a time, as a slice plus the stride between its rows.
+enum Panels<'a> {
+    /// Every panel packed `[k][NR]`, back to back (see [`pack_b`]).
+    Packed(Cow<'a, [f32]>),
+    /// Row-major `k×n` B whose full panels are read in place at row
+    /// stride `n`; `tail` is the final partial panel, packed.
+    InPlace { b: &'a [f32], tail: Vec<f32> },
+}
+
+impl<'a> Panels<'a> {
+    /// Panels of row-major `b` (`k×n`) for an `m`-row product. Packing
+    /// copies all of B once so each panel streams contiguously; that pays
+    /// only when a panel is reused by more than two `MR`-row tiles. The
+    /// final partial panel is always packed, since reading `NR` columns
+    /// of it in place would run past B's last column. An empty B (`k = 0`)
+    /// has no rows to read in place.
+    fn row_major(b: &'a [f32], m: usize, k: usize, n: usize) -> Self {
+        if m > 2 * MR || k == 0 {
+            Panels::Packed(Cow::Owned(pack_b(b, k, n, 0)))
+        } else {
+            Panels::InPlace { b, tail: pack_b(b, k, n, n / NR) }
+        }
+    }
+
+    /// Panel `pi` (output columns from `pi·NR`) and its row stride.
+    fn panel(&self, pi: usize, k: usize, n: usize) -> (&[f32], usize) {
+        let (panel, ldb) = match self {
+            Panels::Packed(p) => (&p[pi * k * NR..(pi + 1) * k * NR], NR),
+            Panels::InPlace { b, .. } if (pi + 1) * NR <= n => (&b[pi * NR..], n),
+            Panels::InPlace { tail, .. } => (tail.as_slice(), NR),
+        };
+        // The micro-kernels load `NR` floats at every `p·ldb`, p < k.
+        assert!(k == 0 || (k - 1) * ldb + NR <= panel.len(), "GEMM panel out of bounds");
+        (panel, ldb)
+    }
+}
+
+/// Computes `ROWS` consecutive output rows against one panel of row
+/// stride `ldb`.
 ///
 /// Accumulates the full shared dimension in ascending order into a
 /// `ROWS×NR` register tile, then stores the (possibly `w`-truncated)
@@ -98,7 +143,7 @@ fn micro_kernel<const ROWS: usize>(
     a: &[f32],
     k: usize,
     i: usize,
-    panel: &[f32],
+    (panel, ldb): (&[f32], usize),
     c: &mut [f32],
     n: usize,
     c_r0: usize,
@@ -108,10 +153,8 @@ fn micro_kernel<const ROWS: usize>(
     let mut acc = [[0.0f32; NR]; ROWS];
     for (ii, acc_row) in acc.iter_mut().enumerate() {
         let a_row = &a[(i + ii) * k..(i + ii + 1) * k];
-        // Zipped exact iterators: no bounds checks in the hot loop, and
-        // `chunks_exact` tells LLVM each `b_row` is exactly NR wide.
-        for (&a_ip, b_row) in a_row.iter().zip(panel.chunks_exact(NR)) {
-            for (acc_v, &b_v) in acc_row.iter_mut().zip(b_row) {
+        for (&a_ip, b_row) in a_row.iter().zip(panel.chunks(ldb)) {
+            for (acc_v, &b_v) in acc_row.iter_mut().zip(&b_row[..NR]) {
                 *acc_v += a_ip * b_v;
             }
         }
@@ -126,7 +169,8 @@ fn micro_kernel<const ROWS: usize>(
 /// ascending-k order, with each output element in its own vector lane —
 /// explicit 256-bit `mul` + `add` (never fused), so every lane performs
 /// the identical IEEE 754 operation sequence as the portable kernel and
-/// results stay bit-identical across the dispatch boundary.
+/// results stay bit-identical across the dispatch boundary. Callers
+/// guarantee `(k-1)·ldb + NR <= panel.len()` ([`Panels::panel`]).
 #[cfg(target_arch = "x86_64")]
 mod avx {
     use super::{MR, NR};
@@ -154,7 +198,7 @@ mod avx {
         a: &[f32],
         k: usize,
         i: usize,
-        panel: &[f32],
+        (panel, ldb): (&[f32], usize),
         c: &mut [f32],
         n: usize,
         c_r0: usize,
@@ -171,7 +215,7 @@ mod avx {
         let mut acc3 = _mm256_setzero_ps();
         for p in 0..k {
             unsafe {
-                let b_v = _mm256_loadu_ps(panel.as_ptr().add(p * NR));
+                let b_v = _mm256_loadu_ps(panel.as_ptr().add(p * ldb));
                 acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_broadcast_ss(&a0[p]), b_v));
                 acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_broadcast_ss(&a1[p]), b_v));
                 acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_broadcast_ss(&a2[p]), b_v));
@@ -191,7 +235,7 @@ mod avx {
         a: &[f32],
         k: usize,
         i: usize,
-        panel: &[f32],
+        (panel, ldb): (&[f32], usize),
         c: &mut [f32],
         n: usize,
         c_r0: usize,
@@ -203,7 +247,7 @@ mod avx {
         #[allow(clippy::needless_range_loop)] // `p` also strides the raw panel pointer
         for p in 0..k {
             unsafe {
-                let b_v = _mm256_loadu_ps(panel.as_ptr().add(p * NR));
+                let b_v = _mm256_loadu_ps(panel.as_ptr().add(p * ldb));
                 acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_broadcast_ss(&a0[p]), b_v));
             }
         }
@@ -214,24 +258,23 @@ mod avx {
     const _: () = assert!(MR == 4 && NR == 8, "AVX tiles are written for a 4x8 register block");
 }
 
-/// Sequential packed GEMM for output rows `[r0, r1)`: `c` holds those rows
-/// only (`(r1-r0)×n`), `a` is the full `m×k` left operand, `packed` the
-/// full panel-packed right operand.
-fn gemm_rows(a: &[f32], packed: &[f32], c: &mut [f32], r0: usize, r1: usize, k: usize, n: usize) {
+/// Sequential GEMM for output rows `[r0, r1)`: `c` holds those rows only
+/// (`(r1-r0)×n`), `a` is the full `m×k` left operand, `panels` the full
+/// right operand.
+fn gemm_rows(a: &[f32], panels: &Panels, c: &mut [f32], r0: usize, r1: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
     if crate::cpu::avx() {
         GEMM_BLOCKS_AVX.inc();
-        // SAFETY: `cpu::avx()` verified CPU support; the tile
-        // functions uphold the same slice bounds as the portable kernel.
-        unsafe { gemm_rows_avx(a, packed, c, r0, r1, k, n) };
+        // SAFETY: `cpu::avx()` verified CPU support; `Panels::panel`
+        // checks the bound the tiles' unchecked loads rely on.
+        unsafe { gemm_rows_avx(a, panels, c, r0, r1, k, n) };
         return;
     }
     GEMM_BLOCKS_SCALAR.inc();
-    let n_panels = n.div_ceil(NR);
-    for pi in 0..n_panels {
+    for pi in 0..n.div_ceil(NR) {
         let j0 = pi * NR;
         let w = NR.min(n - j0);
-        let panel = &packed[pi * k * NR..(pi + 1) * k * NR];
+        let panel = panels.panel(pi, k, n);
         let mut i = r0;
         while i + MR <= r1 {
             micro_kernel::<MR>(a, k, i, panel, c, n, r0, j0, w);
@@ -249,18 +292,17 @@ fn gemm_rows(a: &[f32], packed: &[f32], c: &mut [f32], r0: usize, r1: usize, k: 
 #[target_feature(enable = "avx")]
 unsafe fn gemm_rows_avx(
     a: &[f32],
-    packed: &[f32],
+    panels: &Panels,
     c: &mut [f32],
     r0: usize,
     r1: usize,
     k: usize,
     n: usize,
 ) {
-    let n_panels = n.div_ceil(NR);
-    for pi in 0..n_panels {
+    for pi in 0..n.div_ceil(NR) {
         let j0 = pi * NR;
         let w = NR.min(n - j0);
-        let panel = &packed[pi * k * NR..(pi + 1) * k * NR];
+        let panel = panels.panel(pi, k, n);
         let mut i = r0;
         while i + MR <= r1 {
             unsafe { avx::tile_mr(a, k, i, panel, c, n, r0, j0, w) };
@@ -273,12 +315,12 @@ unsafe fn gemm_rows_avx(
     }
 }
 
-/// Shared driver: packs nothing itself — callers pass the panel-packed
-/// right operand — and splits output rows across the pool in `MR`-aligned
-/// chunks when `threads > 1`.
+/// Shared driver: packs nothing itself — callers pass the right operand's
+/// panels — and splits output rows across the pool in `MR`-aligned chunks
+/// when `threads > 1`.
 fn gemm_driver(
     a: &[f32],
-    packed: &[f32],
+    panels: &Panels,
     m: usize,
     k: usize,
     n: usize,
@@ -293,13 +335,13 @@ fn gemm_driver(
     let threads = threads.clamp(1, m);
     GEMM_THREADS.record(threads as u64);
     if threads <= 1 {
-        gemm_rows(a, packed, &mut out, 0, m, k, n);
+        gemm_rows(a, panels, &mut out, 0, m, k, n);
     } else {
         let rows_per = m.div_ceil(threads).next_multiple_of(MR);
         pool::run_chunks(&mut out, rows_per * n, |ci, chunk| {
             let r0 = ci * rows_per;
             let r1 = (r0 + rows_per).min(m);
-            gemm_rows(a, packed, chunk, r0, r1, k, n);
+            gemm_rows(a, panels, chunk, r0, r1, k, n);
         });
     }
     out
@@ -308,10 +350,11 @@ fn gemm_driver(
 /// A right-hand GEMM operand packed once into `NR`-column panels for
 /// reuse across many products.
 ///
-/// [`Tensor::matmul`] re-packs its right operand on every call — an
-/// `O(k·n)` allocate-and-copy that is pure overhead when the same matrix
-/// multiplies a stream of inputs (the crossbar layer's differential
-/// conductances, reused for every inference batch). Packing once with
+/// [`Tensor::matmul`] re-packs its right operand on every call with more
+/// than `2·MR` rows — an `O(k·n)` allocate-and-copy that is pure overhead
+/// when the same matrix multiplies a stream of inputs (the crossbar
+/// layer's differential conductances, reused for every inference batch),
+/// and reads it unpacked at a strided row pitch otherwise. Packing once with
 /// [`PackedB::pack`] and multiplying with [`Tensor::matmul_prepacked`]
 /// skips that cost while producing bit-identical results: packing only
 /// changes memory layout, never the float operation order.
@@ -331,7 +374,7 @@ impl PackedB {
     pub fn pack(b: &Tensor) -> PackedB {
         assert_eq!(b.ndim(), 2, "PackedB operand must be 2-D, got {:?}", b.shape());
         let (k, n) = (b.shape()[0], b.shape()[1]);
-        PackedB { packed: pack_b(b.as_slice(), k, n), k, n }
+        PackedB { packed: pack_b(b.as_slice(), k, n, 0), k, n }
     }
 
     /// Shared dimension (rows of the packed matrix).
@@ -370,8 +413,8 @@ impl Tensor {
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
         assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        let packed = pack_b(rhs.as_slice(), k, n);
-        let out = gemm_driver(self.as_slice(), &packed, m, k, n, threads);
+        let panels = Panels::row_major(rhs.as_slice(), m, k, n);
+        let out = gemm_driver(self.as_slice(), &panels, m, k, n, threads);
         Tensor::from_vec(out, &[m, n]).expect("matmul output shape is consistent by construction")
     }
 
@@ -388,7 +431,8 @@ impl Tensor {
         let (m, k) = (self.shape()[0], self.shape()[1]);
         assert_eq!(k, rhs.k, "matmul_prepacked inner dimension mismatch: {k} vs {}", rhs.k);
         let threads = thread_count(m, m * k * rhs.n);
-        let out = gemm_driver(self.as_slice(), &rhs.packed, m, k, rhs.n, threads);
+        let panels = Panels::Packed(Cow::Borrowed(&rhs.packed));
+        let out = gemm_driver(self.as_slice(), &panels, m, k, rhs.n, threads);
         Tensor::from_vec(out, &[m, rhs.n])
             .expect("matmul_prepacked output shape is consistent by construction")
     }
@@ -419,8 +463,8 @@ impl Tensor {
         // Materializing the m×k transpose costs O(mk) — negligible next to
         // the O(mkn) product — and buys the contiguous-row fast path.
         let at = self.transpose();
-        let packed = pack_b(rhs.as_slice(), k, n);
-        let out = gemm_driver(at.as_slice(), &packed, m, k, n, threads);
+        let panels = Panels::row_major(rhs.as_slice(), m, k, n);
+        let out = gemm_driver(at.as_slice(), &panels, m, k, n, threads);
         Tensor::from_vec(out, &[m, n]).expect("matmul_at output shape is consistent")
     }
 
@@ -448,8 +492,8 @@ impl Tensor {
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let (n, k2) = (rhs.shape()[0], rhs.shape()[1]);
         assert_eq!(k, k2, "matmul_bt shared dimension mismatch: {k} vs {k2}");
-        let packed = pack_bt(rhs.as_slice(), k, n);
-        let out = gemm_driver(self.as_slice(), &packed, m, k, n, threads);
+        let panels = Panels::Packed(Cow::Owned(pack_bt(rhs.as_slice(), k, n)));
+        let out = gemm_driver(self.as_slice(), &panels, m, k, n, threads);
         Tensor::from_vec(out, &[m, n]).expect("matmul_bt output shape is consistent")
     }
 
@@ -632,6 +676,34 @@ mod tests {
             &a.matmul(&b),
             "prepacked parallel",
         );
+    }
+
+    /// Small batches read B in place (`m <= 2·MR`) and pack only its
+    /// final partial panel; one row past that, B is packed. Both sides of
+    /// the switch, every panel-width edge and the checkup's 784-deep
+    /// first layer, at several thread counts.
+    #[test]
+    fn pack_free_small_batch_matches_naive() {
+        let mut rng = SeededRng::new(29);
+        for k in [1, 3, 784] {
+            for n in [1, 7, 8, 9, 10, 64, 65] {
+                let b = Tensor::randn(&[k, n], &mut rng);
+                for m in 1..=9 {
+                    let a = Tensor::randn(&[m, k], &mut rng);
+                    let want = naive_matmul(&a, &b);
+                    let at = a.transpose();
+                    for threads in [1, 2, 7] {
+                        let what = format!("m {m} k {k} n {n} threads {threads}");
+                        assert_bit_identical(&a.matmul_with_threads(&b, threads), &want, &what);
+                        assert_bit_identical(
+                            &at.matmul_at_with_threads(&b, threads),
+                            &want,
+                            &format!("matmul_at {what}"),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

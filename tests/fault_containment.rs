@@ -12,6 +12,7 @@ use healthmon_check::Gen;
 use healthmon_faults::FaultModel;
 use healthmon_nn::models::tiny_mlp;
 use healthmon_nn::Network;
+use healthmon_telemetry as tel;
 use healthmon_tensor::{SeededRng, Tensor};
 use std::str::FromStr;
 
@@ -164,11 +165,10 @@ fn resume_with_wrong_criteria_is_rejected() {
 }
 
 /// Feeds every truncation and every single-bit flip of `artifact` to
-/// `accepts` and requires a rejection each time. Artifacts over 4 KiB are
+/// `damaged`, with a description of the damage. Artifacts over 4 KiB are
 /// swept at a seeded sample of 512 byte positions. Variants that are no
 /// longer UTF-8 are skipped: reading them as text already fails.
-fn sweep(artifact: &str, accepts: impl Fn(&str) -> bool) {
-    assert!(accepts(artifact), "the intact artifact must be accepted");
+fn for_each_damage(artifact: &str, mut damaged: impl FnMut(&str, String)) {
     let bytes = artifact.as_bytes();
     let positions: Vec<usize> = if bytes.len() <= 4096 {
         (0..bytes.len()).collect()
@@ -179,15 +179,22 @@ fn sweep(artifact: &str, accepts: impl Fn(&str) -> bool) {
     let mut variant = bytes.to_vec();
     for at in positions {
         let torn = std::str::from_utf8(&bytes[..at]).expect("artifacts are ASCII");
-        assert!(!accepts(torn), "truncation to {at} of {} bytes was accepted", bytes.len());
+        damaged(torn, format!("truncation to {at} of {} bytes", bytes.len()));
         for bit in 0..8 {
             variant[at] ^= 1 << bit;
             if let Ok(text) = std::str::from_utf8(&variant) {
-                assert!(!accepts(text), "flipping bit {bit} of byte {at} was accepted");
+                damaged(text, format!("flipping bit {bit} of byte {at}"));
             }
             variant[at] = bytes[at];
         }
     }
+}
+
+/// Requires `accepts` to take the intact `artifact` and to reject every
+/// damaged variant of it.
+fn sweep(artifact: &str, accepts: impl Fn(&str) -> bool) {
+    assert!(accepts(artifact), "the intact artifact must be accepted");
+    for_each_damage(artifact, |text, what| assert!(!accepts(text), "{what} was accepted"));
 }
 
 fn lifetime_fixture() -> (Network, TestPatternSet, LifetimeConfig) {
@@ -238,4 +245,52 @@ fn damaged_fleet_shards_are_rejected() {
         resumed.damaged_shards().is_empty()
     });
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A metrics stream is not sealed: a damaged one may still parse, as
+/// another stream. It must never panic the reader behind `healthmon
+/// metrics` and `healthmon top`, nor yield a histogram bucket outside
+/// the 65 log2 buckets.
+#[test]
+fn damaged_metrics_streams_never_panic_the_reader() {
+    let frame = |seq: u64| tel::SnapshotFrame {
+        seq,
+        label: "fleet".into(),
+        epoch: seq,
+        meta: vec![("devices".into(), 4.0), ("healthy".into(), 3.0)],
+        snap: tel::MetricsSnapshot {
+            counters: vec![tel::CounterSnapshot { name: "c.hits".into(), value: 42, stable: true }],
+            gauges: vec![tel::GaugeSnapshot { name: "g.level".into(), value: 0.5, stable: false }],
+            histograms: vec![tel::HistogramSnapshot {
+                name: "h.ns".into(),
+                count: 6,
+                sum: 1 << 40,
+                buckets: vec![(0, 2), (7, 3), (64, 1)],
+                stable: false,
+            }],
+            spans: vec![tel::SpanSnapshot {
+                path: "epoch/checkup".into(),
+                calls: 3,
+                total_ns: 900,
+                self_ns: 700,
+                max_ns: 400,
+            }],
+            events: vec![tel::EventSnapshot {
+                seq: 1,
+                t_ns: 5,
+                name: "fleet.incident",
+                detail: "device 2".into(),
+            }],
+        },
+    };
+    let stream = tel::render_frame(&frame(1)) + &tel::render_frame(&frame(2));
+    assert_eq!(tel::parse_stream(&stream).unwrap().len(), 2);
+    for_each_damage(&stream, |text, what| {
+        if let Ok(frames) = tel::parse_stream(text) {
+            for h in frames.iter().flat_map(|f| &f.snap.histograms) {
+                assert!(h.buckets.iter().all(|&(i, _)| i <= 64), "{what}: bucket index > 64");
+                h.quantile(0.5);
+            }
+        }
+    });
 }
